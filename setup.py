@@ -1,8 +1,23 @@
-"""Setup shim for environments without the `wheel` package (offline CI).
+"""Package metadata for the ExplainIt! reproduction (``repro``).
 
-`pip install -e . --no-use-pep517 --no-build-isolation` uses this path;
-all real metadata lives in pyproject.toml.
+The package is pure Python under ``src/`` and needs only numpy at run
+time.  An editable install needs no download::
+
+    pip install -e . --no-deps --no-build-isolation --no-use-pep517
+
+pip takes that legacy path only when ``setuptools`` and ``wheel`` are
+both installed; where ``wheel`` is missing, ``python setup.py develop
+--no-deps`` does the same.
 """
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",
+    description="ExplainIt! - a declarative root-cause analysis engine "
+                "for time series data (reproduction)",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy"],
+)

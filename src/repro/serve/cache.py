@@ -21,11 +21,14 @@ against a store that mutates far less often than it is read.  The
 statements that tokenise identically — modulo whitespace, keyword case
 and comments — share one cache entry.  The normalised text is rebuilt
 *from the token stream*, so it parses to exactly the AST of the
-original (property-tested); no semantic guessing is involved.
+original (property-tested); no semantic guessing is involved.  It is a
+pure function of the text, so a bounded LRU memoises it: a dashboard
+re-sending the same statement tokenises it once.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import threading
 from collections import OrderedDict
@@ -36,6 +39,10 @@ from repro.sql.lexer import KEYWORDS, Token, tokenize
 
 #: Default entry bound for :class:`ResultCache`.
 DEFAULT_CACHE_ENTRIES = 256
+
+#: Distinct raw query texts whose normal form :func:`normalize_query`
+#: remembers.
+NORMALIZE_CACHE_ENTRIES = 1024
 
 _PLAIN_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -62,6 +69,7 @@ def _render_token(token: Token, next_token: Token | None) -> str:
     return token.text
 
 
+@functools.lru_cache(maxsize=NORMALIZE_CACHE_ENTRIES)
 def normalize_query(sql: str) -> str:
     """Canonical text of a SQL statement, for use as a cache key.
 
@@ -72,7 +80,9 @@ def normalize_query(sql: str) -> str:
     input — queries that differ only in formatting share a cache entry,
     queries that differ semantically never do.  Raises
     :class:`~repro.sql.errors.ParseError` on input the lexer rejects
-    (the server lets that propagate like any bad query).
+    (the server lets that propagate like any bad query; errors are not
+    memoised).  Results are memoised per raw text in a bounded LRU
+    (``normalize_query.cache_info()`` reports it).
     """
     tokens = [t for t in tokenize(sql) if t.kind != "EOF"]
     return " ".join(

@@ -65,6 +65,7 @@ class Database:
             tuple, tuple[Any, Table, ScanReport]]] = {}
         self._scan_hits = 0
         self._scan_misses = 0
+        self._fallbacks: dict[tuple[str, str], int] = {}
         # Serving runs many worker threads through one Database; the
         # version/stats/scan caches mutate on the read path, so they
         # share one leaf lock (never held across provider calls).
@@ -242,14 +243,26 @@ class Database:
         return result
 
     def cache_info(self) -> dict[str, Any]:
-        """Scan-cache behaviour: hit/miss totals and entries per provider."""
+        """Scan-cache and engine behaviour of this Database.
+
+        ``scan_hits``/``scan_misses`` total the pruned-scan cache,
+        ``scan_entries`` counts its entries per provider, and
+        ``columnar_fallbacks`` counts the stages the columnar engine
+        handed to the row interpreter, keyed by ``(stage, reason)``.
+        """
         with self._cache_lock:
             return {
                 "scan_hits": self._scan_hits,
                 "scan_misses": self._scan_misses,
                 "scan_entries": {k: len(c)
                                  for k, c in self._scan_cache.items()},
+                "columnar_fallbacks": dict(self._fallbacks),
             }
+
+    def _count_fallback(self, stage: str, reason: str) -> None:
+        with self._cache_lock:
+            key = (stage, reason)
+            self._fallbacks[key] = self._fallbacks.get(key, 0) + 1
 
     # ------------------------------------------------------------------
     # Query execution
@@ -270,7 +283,8 @@ class Database:
         plan = Planner(self.stats_for).plan(stmt)
         self.last_plan = plan
         executor = Executor(self.table, self._udfs, columnar=self._columnar,
-                            plan=plan, scan_table=self.scan_table)
+                            plan=plan, scan_table=self.scan_table,
+                            on_fallback=self._count_fallback)
         return executor.execute(stmt)
 
     def create_temp_table(self, name: str, query: str) -> Table:

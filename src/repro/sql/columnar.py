@@ -16,9 +16,10 @@ output).  Four entry points mirror the executor's stages:
   kernels of :mod:`repro.sql.functions`), and ORDER BY becomes one
   ``np.lexsort`` over dense sort codes that encode the row path's
   ``_SortKey`` type-rank ordering.
-- :func:`try_aggregate` — factorizes the GROUP BY keys into group
-  codes (numpy ``unique`` for a single numeric key, a first-occurrence
-  dict otherwise), stable-sorts rows by code, and reduces each
+- :func:`try_aggregate` — factorizes each GROUP BY key (a column or
+  any compilable expression, e.g. ``tag['host']``) into dense
+  codes, combines them mixed-radix and renumbers groups by first
+  occurrence, stable-sorts rows by code, and reduces each
   aggregate over the resulting segments (``reduceat`` for MIN/MAX, one
   numpy reduction per segment for SUM/AVG, ``bincount`` for COUNT).
   Aggregate arguments may be value expressions (``SUM(a*b)``), items
@@ -31,16 +32,28 @@ output).  Four entry points mirror the executor's stages:
   path's bucket skip), and matching/expansion is pure numpy; residual
   predicates compile to masks over the gathered candidate pairs.
 
+String and map columns arrive as :class:`~repro.sql.table.DictColumn`
+vectors — int codes into a dictionary of cells (the tsdb adapter builds
+them; :meth:`~repro.sql.table.Table.column_vectors` encodes every other
+all-``str`` object column once).  Per-cell work on such a column runs
+once per dictionary entry and is gathered by code: comparisons with a
+constant, ``IN``, ``LIKE``, ``IS NULL``, CAST and ``tag['k']``
+subscripts (whose result stays encoded).  GROUP BY, PARTITION BY and
+join keys are the codes themselves (or entry-level codes), and an
+ordered dictionary's codes sort exactly like its strings.  Cells are
+only looked up when a result's ``.rows`` are read.
+
 Every entry point returns ``None`` when any part of the statement falls
 outside the compilable subset — the executor then runs its row-at-a-time
-interpreter, which remains the semantics reference.  The subset is
-chosen so results are *identical* to the row path (property-tested):
-numeric kernels perform the same IEEE operations in the same order the
-scalar evaluator would (``np.sum`` on a group slice is the row path's
-``np.sum`` on the same values), and anything without an exact vector
-counterpart — object-typed cells, LIKE, map subscripts — is evaluated
-element-wise through the very scalar functions of
-:mod:`repro.sql.semantics` that the row path calls.
+interpreter, which remains the semantics reference — after passing the
+reason to its ``on_fallback`` hook.  The subset is chosen so results
+are *identical* to the row path (property-tested): numeric kernels
+perform the same IEEE operations in the same order the scalar evaluator
+would (``np.sum`` on a group slice is the row path's ``np.sum`` on the
+same values), and anything without an exact vector counterpart —
+object-typed cells, LIKE, map subscripts — is evaluated element-wise
+(per entry, for dictionary vectors) through the very scalar functions
+of :mod:`repro.sql.semantics` that the row path calls.
 
 Known deliberate fallbacks: DISTINCT aggregates, PERCENTILE/STDDEV-class
 aggregates, scalar/UDF calls, CASE, ``||`` string concatenation, MIN/MAX
@@ -51,7 +64,6 @@ calls with non-constant offset/window parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -91,11 +103,19 @@ from repro.sql.semantics import (
     sql_cast,
     sql_compare,
 )
-from repro.sql.table import Table, _column_cells, _hashable_row
+from repro.sql.table import DictColumn, Table, _column_cells, _hashable_row
 
 
 class _Ineligible(Exception):
-    """Internal: the expression/statement is outside the columnar subset."""
+    """Internal: the expression/statement is outside the columnar subset.
+
+    ``reason`` is a short phrase naming the construct; the executor
+    counts fallbacks per (stage, reason).
+    """
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        self.reason = reason
 
 
 #: Exceptions that route a statement back to the row interpreter.  The
@@ -121,25 +141,50 @@ _COLUMNAR_AGGREGATES = frozenset({"COUNT", "SUM", "MIN", "MAX", "AVG"})
 
 
 # ---------------------------------------------------------------------------
-# Compiled values: a column vector (with an optional NULL mask) or a constant
+# Compiled values: a column vector (with an optional NULL mask), a
+# dictionary-encoded vector, or a constant
 # ---------------------------------------------------------------------------
-@dataclass
+_DERIVE = object()
+
+
 class _Val:
     """A compiled value expression over the whole relation.
 
-    Either a constant (``const`` holds the Python value, ``data`` is
-    None) or a vector: ``data`` is a numpy array of length ``ctx.n`` and
-    ``null`` marks SQL-NULL positions (None meaning "no NULLs").  NaN is
-    *not* NULL — it is a float value, exactly as in the row evaluator.
+    One of three shapes:
+
+    - a constant: ``const`` holds the Python value;
+    - a vector: ``data`` is a numpy array of length ``ctx.n`` and
+      ``null`` marks SQL-NULL positions (None meaning "no NULLs");
+    - an encoded vector: ``enc`` is a :class:`DictColumn`, ``null`` is
+      derived from its NULL entries, and ``data`` decodes it to an
+      object array on first use — the fallback for compilers with no
+      per-entry form.
+
+    NaN is *not* NULL — it is a float value, exactly as in the row
+    evaluator.
     """
 
-    data: np.ndarray | None = None
-    null: np.ndarray | None = None
-    const: Any = None
+    __slots__ = ("_data", "null", "const", "enc")
+
+    def __init__(self, data: np.ndarray | None = None,
+                 null: np.ndarray | None | object = _DERIVE,
+                 const: Any = None, enc: DictColumn | None = None) -> None:
+        self._data = data
+        self.const = const
+        self.enc = enc
+        if null is _DERIVE:
+            null = enc.null_mask() if enc is not None else None
+        self.null = null
+
+    @property
+    def data(self) -> np.ndarray | None:
+        if self._data is None and self.enc is not None:
+            self._data = self.enc.decode()
+        return self._data
 
     @property
     def is_const(self) -> bool:
-        return self.data is None
+        return self._data is None and self.enc is None
 
 
 class _Ctx:
@@ -155,13 +200,22 @@ class _Ctx:
 
     def column(self, ref: ColumnRef) -> _Val:
         idx = self.relation.resolve(ref.name, ref.table)
-        return _Val(data=self.relation.coldata[idx], null=self.null_for(idx))
+        col = self.relation.coldata[idx]
+        if isinstance(col, DictColumn):
+            return _Val(enc=col, null=self.null_for(idx))
+        return _Val(data=col, null=self.null_for(idx))
 
     def null_for(self, idx: int) -> np.ndarray | None:
-        """NULL mask of one stored column (only object columns have one)."""
+        """NULL mask of one stored column.
+
+        Only object and dictionary columns have one; a dictionary
+        column's is its per-entry NULL flags gathered by code.
+        """
         if idx not in self._null_cache:
             col = self.relation.coldata[idx]
-            if col.dtype == object:
+            if isinstance(col, DictColumn):
+                self._null_cache[idx] = col.null_mask()
+            elif col.dtype == object:
                 mask = np.fromiter((cell is None for cell in col),
                                    dtype=bool, count=col.size)
                 self._null_cache[idx] = mask if mask.any() else None
@@ -201,23 +255,49 @@ def _val_cells(val: _Val, n: int) -> list:
     return cells
 
 
-def _all_strings(cells) -> bool:
-    """True when every cell is exactly ``str`` — the vectorizable case.
-
-    Plain strings hash, compare, and sort identically under numpy and
-    Python, so string-only object columns can take ``np.unique`` fast
-    paths that would be unsound for mixed cells (NaN identity, cross-
-    type ``==``).
-    """
-    return all(type(cell) is str for cell in cells)
-
-
 def _gather_val(val: _Val, idx: np.ndarray) -> _Val:
     """The value restricted to (or permuted by) an index vector."""
     if val.is_const:
         return val
-    return _Val(data=val.data[idx],
-                null=val.null[idx] if val.null is not None else None)
+    null = val.null[idx] if val.null is not None else None
+    if val.enc is not None:
+        return _Val(enc=val.enc[idx], null=null)
+    return _Val(data=val.data[idx], null=null)
+
+
+# ---------------------------------------------------------------------------
+# Dictionary values: per-cell work once per entry, gathered by code
+# ---------------------------------------------------------------------------
+def _entries(val: _Val) -> tuple[_Val, "_SynthCtx"]:
+    """An encoded value's dictionary as a plain value over its entries."""
+    enc = val.enc
+    return (_Val(data=enc.dictionary, null=enc.entry_null),
+            _SynthCtx(enc.dictionary.size))
+
+
+def _per_entry_bool(val: _Val, kernel: Callable
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """A 3VL mask kernel run over the dictionary, gathered to rows.
+
+    Every row holding entry ``e`` holds the very object ``e``, so any
+    per-cell predicate gives that row exactly the entry's answer.
+    """
+    entries, ectx = _entries(val)
+    true, null = kernel(entries, ectx)
+    codes = val.enc.codes
+    return true[codes], null[codes]
+
+
+def _per_entry_value(val: _Val, kernel: Callable) -> _Val:
+    """A value kernel run over the dictionary; the result stays encoded."""
+    entries, ectx = _entries(val)
+    out = kernel(entries, ectx)
+    if out.is_const:
+        return out
+    codes = val.enc.codes
+    if out.data.dtype != object:
+        return _gather_val(out, codes)
+    return _Val(enc=DictColumn(codes, _val_to_vector(out, ectx.n)))
 
 
 def _compile_any(expr: Node, ctx: "_Ctx") -> _Val:
@@ -255,7 +335,9 @@ def _bool_from_val(val: _Val, ctx: "_Ctx"
             return ctx.zeros(), ctx.zeros()
         if val.const is None:
             return ctx.zeros(), ctx.ones()
-        raise _Ineligible
+        raise _Ineligible("non-boolean truth value")
+    if val.enc is not None:
+        return _per_entry_bool(val, _bool_from_val)
     kind = val.data.dtype.kind
     if kind == "b":
         null = val.null
@@ -263,7 +345,7 @@ def _bool_from_val(val: _Val, ctx: "_Ctx"
             return val.data.astype(bool, copy=False), ctx.zeros()
         return val.data & ~null, null.copy()
     if kind != "O":
-        raise _Ineligible
+        raise _Ineligible("non-boolean truth value")
     true = ctx.zeros()
     null = ctx.zeros()
     for i, cell in enumerate(_val_cells(val, ctx.n)):
@@ -272,7 +354,7 @@ def _bool_from_val(val: _Val, ctx: "_Ctx"
         elif cell is None:
             null[i] = True
         elif cell is not False:
-            raise _Ineligible
+            raise _Ineligible("non-boolean truth value")
     return true, null
 
 
@@ -287,7 +369,7 @@ def _compile_value(expr: Node, ctx: _Ctx) -> _Val:
     if isinstance(expr, FuncCall) and expr.window is not None:
         cached = ctx.windows.get(id(expr))
         if cached is None:
-            raise _Ineligible    # window in an unsupported position
+            raise _Ineligible("window in unsupported position")
         return cached
     if isinstance(expr, UnaryOp) and expr.op == "-":
         val = _compile_value(expr.operand, ctx)
@@ -297,14 +379,14 @@ def _compile_value(expr: Node, ctx: _Ctx) -> _Val:
             try:
                 return _Val(const=-val.const)
             except TypeError:
-                raise _Ineligible from None
+                raise _Ineligible("negated constant") from None
         # Bools negate to ints in Python but not in numpy; unsigned
         # and INT64_MIN negations wrap.  All go to the row path.
-        if val.data.dtype.kind not in "if":
-            raise _Ineligible
+        if val.enc is not None or val.data.dtype.kind not in "if":
+            raise _Ineligible("negated non-number")
         if val.data.dtype.kind == "i" and \
                 _abs_bound(val.data) >= 2 ** 63:
-            raise _Ineligible
+            raise _Ineligible("int64 overflow")
         return _Val(data=-val.data, null=val.null)
     if isinstance(expr, BinaryOp) and expr.op in ("+", "-", "*", "/", "%"):
         return _compile_arith(expr, ctx)
@@ -314,15 +396,24 @@ def _compile_value(expr: Node, ctx: _Ctx) -> _Val:
         val = _compile_value(expr.expr, ctx)
         if val.is_const:
             return _Val(const=sql_cast(val.const, expr.type_name))
-        out = np.empty(ctx.n, dtype=object)
-        null = ctx.zeros()
-        for i, cell in enumerate(_cells(val, ctx)):
-            cast = sql_cast(cell, expr.type_name)
-            out[i] = cast
-            if cast is None:
-                null[i] = True
-        return _Val(data=out, null=null if null.any() else None)
-    raise _Ineligible
+        if val.enc is not None:
+            return _per_entry_value(
+                val, lambda entries, ectx: _cast_cells(
+                    entries, expr.type_name, ectx))
+        return _cast_cells(val, expr.type_name, ctx)
+    raise _Ineligible(f"{type(expr).__name__} expression")
+
+
+def _cast_cells(val: _Val, type_name: str, ctx) -> _Val:
+    """CAST element-wise through the scalar semantics."""
+    out = np.empty(ctx.n, dtype=object)
+    null = ctx.zeros()
+    for i, cell in enumerate(_cells(val, ctx)):
+        cast = sql_cast(cell, type_name)
+        out[i] = cast
+        if cast is None:
+            null[i] = True
+    return _Val(data=out, null=null if null.any() else None)
 
 
 def _numeric_operand(val: _Val, allow_bool: bool = True
@@ -343,7 +434,7 @@ def _numeric_operand(val: _Val, allow_bool: bool = True
         if isinstance(val.const, (int, float, np.number)):
             return val.const, None
         return None
-    if val.data.dtype.kind in kinds:
+    if val.enc is None and val.data.dtype.kind in kinds:
         return val.data, val.null
     return None
 
@@ -390,7 +481,7 @@ def _compile_arith(expr: BinaryOp, ctx: _Ctx) -> _Val:
     l_num = _numeric_operand(left, allow_bool=False)
     r_num = _numeric_operand(right, allow_bool=False)
     if l_num is None or r_num is None:
-        raise _Ineligible      # strings, maps, bools, mixed types: row path
+        raise _Ineligible("non-numeric arithmetic")  # strings, maps, bools
     (l_data, l_null), (r_data, r_null) = l_num, r_num
     l_int = _is_int_operand(l_data)
     r_int = _is_int_operand(r_data)
@@ -400,15 +491,15 @@ def _compile_arith(expr: BinaryOp, ctx: _Ctx) -> _Val:
             # dividing; Python's int/int is correctly rounded.  Exact
             # only while both operands are float64-representable.
             if max(_abs_bound(l_data), _abs_bound(r_data)) > 2 ** 53:
-                raise _Ineligible
+                raise _Ineligible("int beyond float64 precision")
         elif not _int_arith_in_range(expr.op, l_data, r_data):
-            raise _Ineligible
+            raise _Ineligible("int64 overflow")
     elif l_int or r_int:
         # int-vs-float arithmetic promotes the int side to float64;
         # match Python's exact conversion only below 2^53.
         int_side = l_data if l_int else r_data
         if _abs_bound(int_side) > 2 ** 53:
-            raise _Ineligible
+            raise _Ineligible("int beyond float64 precision")
     null = _merge_null(l_null, r_null)
     if expr.op in ("/", "%"):
         # The scalar semantics yield NULL on a zero divisor.
@@ -428,12 +519,25 @@ def _compile_arith(expr: BinaryOp, ctx: _Ctx) -> _Val:
 
 
 def _compile_subscript(expr: Subscript, ctx: _Ctx) -> _Val:
-    """``tag['host']``-style map/list access, element-wise."""
+    """``tag['host']``-style map/list access.
+
+    Over a dictionary column (the tsdb ``tag`` map) the lookup runs
+    once per dictionary entry — once per series — and the result stays
+    encoded; other vectors are subscripted element-wise.
+    """
     base = _compile_value(expr.base, ctx)
     index = _compile_value(expr.index, ctx)
     if not index.is_const:
-        raise _Ineligible
-    key = index.const
+        raise _Ineligible("non-constant subscript")
+    if base.enc is not None:
+        return _per_entry_value(
+            base, lambda entries, ectx: _subscript_cells(
+                entries, index.const, ectx))
+    return _subscript_cells(base, index.const, ctx)
+
+
+def _subscript_cells(base: _Val, key: Any, ctx) -> _Val:
+    """Map/list subscript element-wise, as the row evaluator does it."""
     out = np.empty(ctx.n, dtype=object)
     null = ctx.zeros()
     for i, cell in enumerate(_cells(base, ctx)):
@@ -445,7 +549,8 @@ def _compile_subscript(expr: Subscript, ctx: _Ctx) -> _Val:
             j = int(key)
             value = cell[j] if -len(cell) <= j < len(cell) else None
         else:
-            raise _Ineligible        # row path raises ExecutionError
+            # the row path raises ExecutionError
+            raise _Ineligible("subscripted non-container")
         out[i] = value
         if value is None:
             null[i] = True
@@ -463,7 +568,7 @@ def _compile_bool(expr: Node, ctx: _Ctx) -> tuple[np.ndarray, np.ndarray]:
             return ctx.zeros(), ctx.zeros()
         if expr.value is None:
             return ctx.zeros(), ctx.ones()
-        raise _Ineligible            # non-boolean literal truthiness
+        raise _Ineligible("non-boolean truth value")
     if isinstance(expr, ColumnRef):
         return _bool_from_val(ctx.column(expr), ctx)
     if isinstance(expr, BinaryOp):
@@ -483,7 +588,7 @@ def _compile_bool(expr: Node, ctx: _Ctx) -> tuple[np.ndarray, np.ndarray]:
             return _compile_compare(
                 expr.op, _compile_value(expr.left, ctx),
                 _compile_value(expr.right, ctx), ctx)
-        raise _Ineligible
+        raise _Ineligible(f"{expr.op} in a predicate")
     if isinstance(expr, UnaryOp) and expr.op == "NOT":
         t, n = _compile_bool(expr.operand, ctx)
         return ~t & ~n, n
@@ -512,7 +617,7 @@ def _compile_bool(expr: Node, ctx: _Ctx) -> tuple[np.ndarray, np.ndarray]:
         else:
             is_null = val.null.copy()
         return (~is_null if expr.negated else is_null), ctx.zeros()
-    raise _Ineligible
+    raise _Ineligible(f"{type(expr).__name__} predicate")
 
 
 def _compile_compare(op: str, left: _Val, right: _Val, ctx: _Ctx
@@ -525,6 +630,14 @@ def _compile_compare(op: str, left: _Val, right: _Val, ctx: _Ctx
     if (left.is_const and left.const is None) or (
             right.is_const and right.const is None):
         return ctx.zeros(), ctx.ones()
+    if left.enc is not None and right.is_const:
+        return _per_entry_bool(
+            left, lambda entries, ectx: _compile_compare(
+                op, entries, right, ectx))
+    if right.enc is not None and left.is_const:
+        return _per_entry_bool(
+            right, lambda entries, ectx: _compile_compare(
+                op, left, entries, ectx))
 
     l_num = _numeric_operand(left)
     r_num = _numeric_operand(right)
@@ -537,7 +650,7 @@ def _compile_compare(op: str, left: _Val, right: _Val, ctx: _Ctx
             # the int side is float64-representable.
             int_side = l_data if l_int else r_data
             if _abs_bound(int_side) > 2 ** 53:
-                raise _Ineligible
+                raise _Ineligible("int beyond float64 precision")
         null = _merge_null(l_null, r_null)
         with np.errstate(invalid="ignore"):
             cmp = _NP_COMPARE[op](l_data, r_data)
@@ -564,12 +677,12 @@ def _compile_compare(op: str, left: _Val, right: _Val, ctx: _Ctx
         for operand in (l_op, r_op):
             if isinstance(operand, np.ndarray) \
                     and operand.dtype.kind == "u":
-                raise _Ineligible    # uint mixes promote to float64
+                raise _Ineligible("unsigned compare")  # promotes to float64
         try:
             raw = (l_op == r_op) if op == "=" else (l_op != r_op)
             raw = np.asarray(raw, dtype=bool)
         except Exception:
-            raise _Ineligible from None
+            raise _Ineligible("incomparable cells") from None
         if raw.ndim == 0:            # incomparable types collapse to a scalar
             raw = np.full(ctx.n, bool(raw))
         if null is None:
@@ -601,8 +714,17 @@ def _compile_in_list(expr: InList, ctx: _Ctx
                      ) -> tuple[np.ndarray, np.ndarray]:
     value = _compile_value(expr.expr, ctx)
     if not all(isinstance(item, Literal) for item in expr.items):
-        raise _Ineligible
+        raise _Ineligible("IN over non-literals")
     literals = [item.value for item in expr.items]
+    if value.enc is not None:
+        return _per_entry_bool(
+            value, lambda entries, ectx: _in_list_masks(
+                entries, literals, expr.negated, ectx))
+    return _in_list_masks(value, literals, expr.negated, ctx)
+
+
+def _in_list_masks(value: _Val, literals: list, negated: bool, ctx
+                   ) -> tuple[np.ndarray, np.ndarray]:
     saw_null = any(v is None for v in literals)
     if value.is_const and value.const is None:
         return ctx.zeros(), ctx.ones()
@@ -620,7 +742,7 @@ def _compile_in_list(expr: InList, ctx: _Ctx
             value_null |= value.null
     not_found = ~found & ~value_null
     null = value_null | (not_found & saw_null)
-    if expr.negated:
+    if negated:
         return not_found & ~null, null
     return found, null
 
@@ -629,10 +751,19 @@ def _compile_like(expr: Like, ctx: _Ctx) -> tuple[np.ndarray, np.ndarray]:
     value = _compile_value(expr.expr, ctx)
     pattern = _compile_value(expr.pattern, ctx)
     if not pattern.is_const:
-        raise _Ineligible
+        raise _Ineligible("non-constant LIKE pattern")
     if pattern.const is None or (value.is_const and value.const is None):
         return ctx.zeros(), ctx.ones()
     predicate = like_to_predicate(str(pattern.const))
+    if value.enc is not None:
+        return _per_entry_bool(
+            value, lambda entries, ectx: _like_masks(
+                entries, predicate, expr.negated, ectx))
+    return _like_masks(value, predicate, expr.negated, ctx)
+
+
+def _like_masks(value: _Val, predicate: Callable, negated: bool, ctx
+                ) -> tuple[np.ndarray, np.ndarray]:
     true = ctx.zeros()
     null = ctx.zeros()
     for i, cell in enumerate(_cells(value, ctx)):
@@ -640,7 +771,7 @@ def _compile_like(expr: Like, ctx: _Ctx) -> tuple[np.ndarray, np.ndarray]:
             null[i] = True
         elif predicate(str(cell)):
             true[i] = True
-    if expr.negated:
+    if negated:
         return ~true & ~null, null
     return true, null
 
@@ -657,10 +788,17 @@ def _sort_codes(val: _Val, n: int) -> np.ndarray:
     ``float(value)``, so int64 cells collapse precisely where the row
     path collapses them) < NaN < strings < everything else (by
     ``str``).  DESC keys negate the codes; all NaNs share one bucket,
-    keeping the order transitive.
+    keeping the order transitive.  An ordered dictionary's codes are
+    already such codes; other dictionaries rank their entries once.
     """
     if val.is_const:
         return np.zeros(n, dtype=np.int64)
+    if val.enc is not None:
+        enc = val.enc
+        if enc.ordered:
+            return enc.codes.astype(np.int64)
+        entries, ectx = _entries(val)
+        return _sort_codes(entries, ectx.n)[enc.codes]
     data, null = val.data, val.null
     kind = data.dtype.kind
     if kind in "iubf":
@@ -676,10 +814,6 @@ def _sort_codes(val: _Val, n: int) -> np.ndarray:
         codes[nan] = uniq.size + 1
         return codes
     if kind == "U" and null is None:
-        _, inverse = np.unique(data, return_inverse=True)
-        return inverse.reshape(-1).astype(np.int64)
-    if kind == "O" and (null is None or not null.any()) \
-            and _all_strings(_column_cells(data)):
         _, inverse = np.unique(data, return_inverse=True)
         return inverse.reshape(-1).astype(np.int64)
     return _object_sort_codes(_val_cells(val, n))
@@ -768,7 +902,8 @@ def _order_permutation(order_by, values: list[_Val] | None,
                     break
         if val is None:
             if _has_window(expr):
-                raise _Ineligible    # row path raises: no window cache here
+                # the row path raises: no window cache here
+                raise _Ineligible("window in ORDER BY")
             val = _compile_any(expr, ctx)
         codes = _sort_codes(val, ctx.n)
         keys.append(codes if item.ascending else -codes)
@@ -796,15 +931,16 @@ def _window_val(call: FuncCall, ctx: _Ctx) -> _Val:
     contiguous partition segments.
     """
     if call.name not in WINDOW_FUNCTIONS:
-        raise _Ineligible            # row path raises ExecutionError
+        # the row path raises ExecutionError
+        raise _Ineligible(f"{call.name} as a window function")
     spec = call.window
     n = ctx.n
     sub_exprs = (list(spec.partition_by)
                  + [o.expr for o in spec.order_by] + list(call.args))
     if any(_has_window(sub) for sub in sub_exprs):
-        raise _Ineligible            # nested window: row path raises
-    pcodes = _partition_codes(
-        [_compile_any(e, ctx) for e in spec.partition_by], ctx)
+        raise _Ineligible("nested window")  # the row path raises
+    pcodes, _ = _combined_key_codes(
+        [_compile_any(e, ctx) for e in spec.partition_by], n)
     keys = [pcodes]
     for o in spec.order_by:
         codes = _sort_codes(_compile_any(o.expr, ctx), n)
@@ -821,39 +957,65 @@ def _window_val(call: FuncCall, ctx: _Ctx) -> _Val:
     return _gather_val(ordered, inverse)
 
 
-def _partition_codes(vals: list[_Val], ctx) -> np.ndarray:
-    """Codes equal exactly when the row path's partition keys are equal.
+def _key_codes(val: _Val, n: int) -> tuple[np.ndarray, int]:
+    """Dense codes, equal exactly where the row path's keys are equal.
 
-    Partition identity is Python ``==`` over ``_hashable_row``-converted
-    key tuples, so the general path hashes cells through the very same
-    conversion.  NaN keys fall out naturally: the converted tuples
-    compare unequal, putting every NaN-keyed row in its own partition,
-    just as the row path's dict does.  A single NULL-free numeric or
-    string key skips the Python loop entirely.
+    GROUP BY and PARTITION BY identity is Python ``==`` over
+    ``_hashable_row``-converted cells (a NULL is a key like any other),
+    so the general path hashes cells through that very conversion.
+    NaN keys fall out naturally: the converted cells compare unequal,
+    giving every NaN-keyed row its own key, just as the row path's dict
+    does.  NULL-free numeric and string vectors skip the Python loop;
+    an ordered dictionary's codes already are such codes, and any other
+    dictionary keys its entries once.  Returns ``(codes, size)`` with
+    every code in ``range(size)``.
     """
-    n = ctx.n
-    if not vals:
-        return np.zeros(n, dtype=np.int64)
-    if len(vals) == 1:
-        v = vals[0]
-        if not v.is_const and v.null is None:
-            kind = v.data.dtype.kind
-            if kind in "iub" or kind == "U" or (
-                    kind == "f" and not np.isnan(v.data).any()) or (
-                    kind == "O" and _all_strings(_column_cells(v.data))):
-                _, inverse = np.unique(v.data, return_inverse=True)
-                return inverse.reshape(-1).astype(np.int64)
-    cell_lists = [_val_cells(v, n) for v in vals]
+    if val.is_const:
+        return np.zeros(n, dtype=np.intp), 1
+    if val.enc is not None:
+        enc = val.enc
+        if enc.ordered:
+            return enc.codes, enc.dictionary.size
+        entry_codes, size = _key_codes(_Val(data=enc.dictionary, null=None),
+                                       enc.dictionary.size)
+        return entry_codes[enc.codes], size
+    data = val.data
+    kind = data.dtype.kind
+    if val.null is None and (kind in "iubU" or (
+            kind == "f" and not np.isnan(data).any())):
+        uniq, inverse = np.unique(data, return_inverse=True)
+        return inverse.reshape(-1), int(uniq.size)
     seen: dict = {}
-    codes = np.empty(n, dtype=np.int64)
-    for i, cells in enumerate(zip(*cell_lists)):
-        key = _hashable_row(cells)
+    codes = np.empty(n, dtype=np.intp)
+    for i, cell in enumerate(_val_cells(val, n)):
+        key = (cell if not isinstance(cell, (dict, list, tuple))
+               else _hashable_row((cell,)))
         code = seen.get(key)
         if code is None:
             code = len(seen)
             seen[key] = code
         codes[i] = code
-    return codes
+    return codes, len(seen)
+
+
+def _combined_key_codes(vals: list[_Val], n: int) -> tuple[np.ndarray, int]:
+    """One code per distinct key tuple, combined mixed-radix.
+
+    Two rows share a code exactly when every key's codes match — tuple
+    equality of the row path.  The running code is re-densified
+    whenever its radix outgrows the row count, so it always fits int64.
+    """
+    if not vals:
+        return np.zeros(n, dtype=np.intp), 1
+    total, radix = _key_codes(vals[0], n)
+    for val in vals[1:]:
+        codes, size = _key_codes(val, n)
+        total = total.astype(np.int64) * size + codes
+        radix *= size
+        if radix > 2 * n + 64:
+            uniq, inverse = np.unique(total, return_inverse=True)
+            total, radix = inverse.reshape(-1), int(uniq.size)
+    return total, radix
 
 
 def _window_kernel(call: FuncCall, args: list[_Val], ctx: _Ctx,
@@ -869,13 +1031,13 @@ def _window_kernel(call: FuncCall, args: list[_Val], ctx: _Ctx,
         return _rank_kernel(args[0], order, n, starts, ends)
     if name in ("LAG", "LEAD"):
         if not args:
-            raise _Ineligible        # row path raises IndexError
+            raise _Ineligible(f"{name} without arguments")  # IndexError
         return _shift_kernel(name, args, n, order, seg_start, seg_len, pos)
     if name == "MOVING_AVG":
         if not args:
-            raise _Ineligible
+            raise _Ineligible(f"{name} without arguments")
         return _moving_avg_kernel(args, n, order, starts, ends)
-    raise _Ineligible
+    raise _Ineligible(f"{name} as a window function")
 
 
 def _rank_kernel(val: _Val, order: np.ndarray, n: int,
@@ -886,15 +1048,20 @@ def _rank_kernel(val: _Val, order: np.ndarray, n: int,
         if c is None or isinstance(c, (bool, int, float, str)):
             # Every value equal (or None): nothing ranks strictly less.
             return _Val(data=np.ones(n, dtype=np.int64))
-        raise _Ineligible            # c < c may raise; row path decides
-    data = ordered.data
+        # c < c may raise; the row path decides
+        raise _Ineligible("RANK over an object constant")
+    if ordered.enc is not None and ordered.enc.ordered:
+        data = ordered.enc.codes     # code order is string order
+    else:
+        data = ordered.data
     kind = data.dtype.kind
     if kind in "iub" or kind == "U":
         uncounted = np.zeros(n, dtype=bool)
     elif kind == "f":
         uncounted = np.isnan(data)
     else:
-        raise _Ineligible            # object cells: Python < may raise
+        # object cells: Python < may raise
+        raise _Ineligible("RANK over object cells")
     if ordered.null is not None:
         uncounted = uncounted | ordered.null
     return _Val(data=segmented_rank(data, uncounted, starts, ends))
@@ -905,7 +1072,7 @@ def _const_window_param(args: list[_Val], index: int) -> Any:
     if len(args) <= index:
         return None
     if not args[index].is_const:
-        raise _Ineligible            # per-row parameters: row path only
+        raise _Ineligible("per-row window parameter")
     return args[index].const
 
 
@@ -917,7 +1084,8 @@ def _shift_kernel(name: str, args: list[_Val], n: int, order: np.ndarray,
     try:
         offset = int(offset_const) if offset_const is not None else 1
     except (TypeError, ValueError):
-        raise _Ineligible from None  # row path raises the same error
+        # the row path raises the same error
+        raise _Ineligible("non-integer window offset") from None
     src = _gather_val(args[0], order)
     if src.is_const:
         data = np.empty(n, dtype=object)
@@ -955,18 +1123,20 @@ def _moving_avg_kernel(args: list[_Val], n: int, order: np.ndarray,
     try:
         window = int(window_const) if window_const is not None else 5
     except (TypeError, ValueError):
-        raise _Ineligible from None
+        raise _Ineligible("non-integer window size") from None
     src = args[0]
     if src.is_const:
         if src.const is None:
             return _Val(const=None)
         if not isinstance(src.const, (bool, int, float)):
-            raise _Ineligible        # np.mean would raise; row path decides
+            # np.mean would raise; the row path decides
+            raise _Ineligible("MOVING_AVG over a non-number")
         src = _Val(data=np.full(n, src.const))
     if src.null is not None and src.null.any():
-        raise _Ineligible            # per-window NULL filtering: row path
-    if src.data.dtype.kind not in _NUMERIC_KINDS:
-        raise _Ineligible
+        # per-window NULL filtering: row path
+        raise _Ineligible("MOVING_AVG over NULLs")
+    if src.enc is not None or src.data.dtype.kind not in _NUMERIC_KINDS:
+        raise _Ineligible("MOVING_AVG over a non-number")
     if window < 1:
         return _Val(const=None)      # every trailing window is empty
     ordered = src.data[order]
@@ -976,7 +1146,19 @@ def _moving_avg_kernel(args: list[_Val], n: int, order: np.ndarray,
 # ---------------------------------------------------------------------------
 # Executor entry points
 # ---------------------------------------------------------------------------
-def try_filter(relation, where: Node):
+#: ``on_fallback(reason)`` hook every entry point calls before it
+#: returns None, so the executor can count fallbacks.
+FallbackHook = Callable[[str], None] | None
+
+
+def _fall_back(on_fallback: FallbackHook, exc: BaseException) -> None:
+    """Report a caught fallback: its reason, or the error's class name."""
+    if on_fallback is not None:
+        on_fallback(exc.reason if isinstance(exc, _Ineligible)
+                    else type(exc).__name__)
+
+
+def try_filter(relation, where: Node, on_fallback: FallbackHook = None):
     """Vectorize a WHERE clause; returns a filtered relation or None.
 
     Rows are kept where the compiled predicate is *true* (NULL and false
@@ -989,13 +1171,14 @@ def try_filter(relation, where: Node):
     try:
         ctx = _Ctx(relation)
         true, _ = _compile_bool(where, ctx)
-    except _FALLBACK:
+    except _FALLBACK as exc:
+        _fall_back(on_fallback, exc)
         return None
     return _Relation(relation.columns,
                      coldata=[col[true] for col in relation.coldata])
 
 
-def try_project(stmt: Select, relation):
+def try_project(stmt: Select, relation, on_fallback: FallbackHook = None):
     """Columnar plain SELECT; returns the result Table or None.
 
     Bare column references are zero-copy vector selects; value
@@ -1018,22 +1201,26 @@ def try_project(stmt: Select, relation):
         if stmt.order_by:
             perm = _order_permutation(stmt.order_by, values, columns, ctx)
             vectors = [vec[perm] for vec in vectors]
-    except _FALLBACK:
+    except _FALLBACK as exc:
+        _fall_back(on_fallback, exc)
         return None
     return Table.from_columns(columns, vectors)
 
 
-def _val_to_vector(val: _Val, n: int) -> np.ndarray:
+def _val_to_vector(val: _Val, n: int) -> np.ndarray | DictColumn:
     """One compiled value as an output column vector.
 
-    NULL-free vectors pass through as-is (views, not copies); vectors
-    with NULLs are rebuilt as object arrays holding None exactly where
-    the row evaluator would have produced it.
+    NULL-free vectors pass through as-is (views, not copies), and so do
+    dictionary vectors, whose NULL rows point at None entries; other
+    vectors with NULLs are rebuilt as object arrays holding None exactly
+    where the row evaluator would have produced it.
     """
     if val.is_const:
         out = np.empty(n, dtype=object)
         out.fill(val.const)
         return out
+    if val.enc is not None:
+        return val.enc
     if val.null is None or not val.null.any():
         return val.data
     out = np.empty(n, dtype=object)
@@ -1042,7 +1229,7 @@ def _val_to_vector(val: _Val, n: int) -> np.ndarray:
     return out
 
 
-def try_aggregate(stmt: Select, relation):
+def try_aggregate(stmt: Select, relation, on_fallback: FallbackHook = None):
     """Columnar GROUP BY + aggregates; returns the result Table or None.
 
     Groups appear in first-occurrence order — the row path's dict
@@ -1058,21 +1245,19 @@ def try_aggregate(stmt: Select, relation):
 
     try:
         ctx = _Ctx(relation)
-        for expr in stmt.group_by:
-            if not isinstance(expr, ColumnRef):
-                raise _Ineligible
+        if any(_has_window(expr) for expr in stmt.group_by):
+            raise _Ineligible("window in GROUP BY")  # the row path raises
         for item in stmt.items:
             if isinstance(item.expr, Star):
-                raise _Ineligible    # row path raises; let it
+                raise _Ineligible("SELECT * with GROUP BY")  # row path raises
         if not stmt.group_by and ctx.n == 0:
-            raise _Ineligible        # synthesized empty-group row: row path
+            # the row path synthesizes the empty group's row
+            raise _Ineligible("aggregate over no rows")
         columns = Executor._dedupe_columns(
             [Executor._output_name(item, idx)
              for idx, item in enumerate(stmt.items)])
-        key_idx = [ctx.relation.resolve(e.name, e.table)
-                   for e in stmt.group_by]
-        codes, n_groups = _group_codes(key_idx, ctx)
-        groups = _Groups(ctx, codes, n_groups)
+        groups = _Groups(ctx, [_compile_any(e, ctx) for e in stmt.group_by])
+        n_groups = groups.n_groups
         item_vals = [groups.compile(item.expr) for item in stmt.items]
         keep: np.ndarray | None = None
         if stmt.having is not None:
@@ -1097,7 +1282,8 @@ def try_aggregate(stmt: Select, relation):
             if perm is not None:
                 vec = vec[perm]
             vectors.append(vec)
-    except _FALLBACK:
+    except _FALLBACK as exc:
+        _fall_back(on_fallback, exc)
         return None
     return Table.from_columns(columns, vectors)
 
@@ -1125,7 +1311,7 @@ class _SynthCtx:
     def column(self, ref: ColumnRef) -> _Val:
         val = self._vals.get(ref.name)
         if val is None:
-            raise _Ineligible
+            raise _Ineligible("column outside the group context")
         return val
 
     def zeros(self) -> np.ndarray:
@@ -1146,18 +1332,34 @@ class _Groups:
     ordinary compilers evaluate them per *group* instead of per row.
     """
 
-    def __init__(self, ctx: _Ctx, codes: np.ndarray, n_groups: int) -> None:
+    def __init__(self, ctx: _Ctx, keys: list[_Val]) -> None:
         self.ctx = ctx
-        self.n_groups = n_groups
-        self.order = np.argsort(codes, kind="stable")
-        self.counts = np.bincount(codes, minlength=n_groups).astype(np.int64)
-        starts = np.zeros(n_groups, dtype=np.intp)
-        if n_groups:
-            np.cumsum(self.counts[:-1], out=starts[1:])
-        self.starts = starts
-        self.ends = starts + self.counts
-        self.first_rows = self.order[starts]
-        self.vals_ctx = _SynthCtx(n_groups)
+        n = ctx.n
+        codes, size = _combined_key_codes(keys, n)
+        if size == 1:
+            order = np.arange(n, dtype=np.intp)
+        else:
+            order = _stable_order(codes, size)
+        counts = np.bincount(codes, minlength=size)
+        code_starts = _starts(counts)
+        # The row path's groups are dict entries, iterated in insertion
+        # order: number the codes rows use by their first row.  A stable
+        # sort puts each code's first row at the head of its run.
+        present = np.flatnonzero(counts)
+        by_first = np.argsort(order[code_starts[present]])
+        group_codes = present[by_first]
+        self.n_groups = int(group_codes.size)
+        self.counts = counts[group_codes].astype(np.int64)
+        self.starts = _starts(self.counts)
+        self.ends = self.starts + self.counts
+        if (by_first != np.arange(by_first.size)).any():
+            # Move each code's run of the sorted order to its group's slot.
+            order = order[np.repeat(code_starts[group_codes] - self.starts,
+                                    self.counts)
+                          + np.arange(n, dtype=np.intp)]
+        self.order = order
+        self.first_rows = order[self.starts]
+        self.vals_ctx = _SynthCtx(self.n_groups)
 
     def compile(self, expr: Node) -> _Val:
         return _compile_any(self.rewrite(expr, None, None), self.vals_ctx)
@@ -1191,7 +1393,7 @@ class _Groups:
         if any(isinstance(node, FuncCall)
                and (is_aggregate(node.name) or node.window is not None)
                for node in walk(expr)):
-            raise _Ineligible        # aggregate under CASE/IN/...: row path
+            raise _Ineligible("aggregate under CASE/IN/LIKE")
         # Whole-subtree leaf (Subscript, Between, IsNull, ...): the row
         # path evaluates these on the group's first row only.
         return self.vals_ctx.add(self.first_row_expr(expr))
@@ -1199,6 +1401,8 @@ class _Groups:
     def first_row_column(self, ref: ColumnRef) -> _Val:
         idx = self.ctx.relation.resolve(ref.name, ref.table)
         data = self.ctx.relation.coldata[idx][self.first_rows]
+        if isinstance(data, DictColumn):
+            return _Val(enc=data)
         null = None
         if data.dtype == object:     # derive NULLs from the few gathered
             mask = np.fromiter((cell is None for cell in data),
@@ -1208,19 +1412,23 @@ class _Groups:
 
     def first_row_expr(self, expr: Node) -> _Val:
         if _has_window(expr):
-            raise _Ineligible
+            raise _Ineligible("window in aggregate context")
         return _gather_val(_compile_any(expr, self.ctx), self.first_rows)
 
     def aggregate(self, call: FuncCall) -> _Val:
-        if call.name not in _COLUMNAR_AGGREGATES or call.distinct:
-            raise _Ineligible
+        if call.distinct:
+            raise _Ineligible(f"{call.name}(DISTINCT)")
+        if call.name not in _COLUMNAR_AGGREGATES:
+            raise _Ineligible(f"{call.name} aggregate")
         if call.name == "COUNT" and (
                 not call.args or isinstance(call.args[0], Star)):
             return _Val(data=self.counts.copy())
         if len(call.args) != 1:
-            raise _Ineligible        # row path raises ExecutionError
+            # the row path raises ExecutionError
+            raise _Ineligible(f"{call.name} arity")
         if _has_window(call.args[0]):
-            raise _Ineligible        # row path raises (no window cache)
+            # the row path raises (no window cache)
+            raise _Ineligible("window in aggregate argument")
         return self.reduce(call.name, _compile_any(call.args[0], self.ctx))
 
     def reduce(self, name: str, val: _Val) -> _Val:
@@ -1232,20 +1440,21 @@ class _Groups:
                 return _Val(const=None)
             data = np.full(self.ctx.n, val.const)
             if data.dtype == object:
-                raise _Ineligible
+                raise _Ineligible(f"{name} over an object constant")
             val = _Val(data=data)
         null = val.null if val.null is not None and val.null.any() else None
         if name == "COUNT":
-            if val.data.dtype.kind not in _NUMERIC_KINDS \
+            if val.enc is None \
+                    and val.data.dtype.kind not in _NUMERIC_KINDS \
                     and val.data.dtype.kind not in "UO":
-                raise _Ineligible
+                raise _Ineligible("COUNT over an unknown dtype")
             if null is None:
                 return _Val(data=self.counts.copy())
             null_per_group = np.add.reduceat(
                 null[self.order].astype(np.int64), self.starts)
             return _Val(data=self.counts - null_per_group)
-        if val.data.dtype.kind not in _NUMERIC_KINDS:
-            raise _Ineligible
+        if val.enc is not None or val.data.dtype.kind not in _NUMERIC_KINDS:
+            raise _Ineligible(f"{name} over non-numbers")
         ordered = val.data[self.order]
         if null is None:
             if name in ("MIN", "MAX"):
@@ -1287,61 +1496,38 @@ def _guard_minmax(values: np.ndarray) -> None:
     if values.dtype.kind != "f":
         return
     if np.isnan(values).any():
-        raise _Ineligible
+        raise _Ineligible("MIN/MAX over NaN")
     zeros = values == 0.0
     if zeros.any() and np.signbit(values[zeros]).any():
-        raise _Ineligible
+        raise _Ineligible("MIN/MAX over signed zeros")
 
 
-def _group_codes(key_idx: list[int], ctx: _Ctx) -> tuple[np.ndarray, int]:
-    """First-occurrence-ordered group codes for the key columns."""
-    n = ctx.n
-    if not key_idx:
-        return np.zeros(n, dtype=np.intp), 1
-    if len(key_idx) == 1:
-        col = ctx.relation.coldata[key_idx[0]]
-        if col.dtype.kind in "iubU" or (
-                col.dtype.kind == "f" and not np.isnan(col).any()) or (
-                col.dtype.kind == "O" and _all_strings(_column_cells(col))):
-            # np.unique orders groups by value; remap to first-occurrence
-            # order, which is what the row path's dict iteration yields.
-            _, first, inverse = np.unique(
-                col, return_index=True, return_inverse=True)
-            rank = np.empty(first.size, dtype=np.intp)
-            rank[np.argsort(first, kind="stable")] = np.arange(first.size)
-            return rank[inverse.reshape(-1)], int(first.size)
-    # General path: Python dict keyed exactly like the row executor.
-    # (Scalar keys hash/compare the same bare or tuple-wrapped, so the
-    # single-key loop skips the tuple for speed.)
-    seen: dict = {}
-    codes = np.empty(n, dtype=np.intp)
-    if len(key_idx) == 1:
-        cells = _column_cells(ctx.relation.coldata[key_idx[0]])
-        for row_i, cell in enumerate(cells):
-            key = (cell if not isinstance(cell, (dict, list, tuple))
-                   else _hashable_row((cell,)))
-            code = seen.get(key)
-            if code is None:
-                code = len(seen)
-                seen[key] = code
-            codes[row_i] = code
-        return codes, len(seen)
-    key_cells = [_column_cells(ctx.relation.coldata[i]) for i in key_idx]
-    for row_i, key in enumerate(zip(*key_cells)):
-        hashable = _hashable_row(key)
-        code = seen.get(hashable)
-        if code is None:
-            code = len(seen)
-            seen[hashable] = code
-        codes[row_i] = code
-    return codes, len(seen)
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Run starts for consecutive runs of the given lengths."""
+    starts = np.zeros(counts.size, dtype=np.intp)
+    if counts.size:
+        np.cumsum(counts[:-1], out=starts[1:])
+    return starts
+
+
+def _stable_order(codes: np.ndarray, size: int) -> np.ndarray:
+    """Stable argsort of codes in ``range(size)``.
+
+    Codes that fit 8 or 16 bits are narrowed first, so numpy sorts them
+    with an O(n) radix sort.
+    """
+    if size <= 2 ** 8:
+        codes = codes.astype(np.uint8)
+    elif size <= 2 ** 16:
+        codes = codes.astype(np.uint16)
+    return np.argsort(codes, kind="stable")
 
 
 # ---------------------------------------------------------------------------
 # Hash equi-join over key-code vectors
 # ---------------------------------------------------------------------------
 def try_join(kind: str, left, right, equi_pairs, residual,
-             build: str = "right"):
+             build: str = "right", on_fallback: FallbackHook = None):
     """Columnar hash join; returns the joined _Relation or None.
 
     Both sides' equi-key expressions compile to vectors and factorize to
@@ -1362,7 +1548,7 @@ def try_join(kind: str, left, right, equi_pairs, residual,
     from repro.sql.executor import _Relation
 
     try:
-        lcodes, rcodes = _combined_key_codes(equi_pairs, left, right)
+        lcodes, rcodes = _join_key_codes(equi_pairs, left, right)
         nl, nr = lcodes.size, rcodes.size
         if build == "left" and kind == "INNER":
             l_valid = np.flatnonzero(lcodes >= 0)
@@ -1425,13 +1611,13 @@ def try_join(kind: str, left, right, equi_pairs, residual,
         coldata = ([_gather_or_null(col, left_idx) for col in left.coldata]
                    + [_gather_or_null(col, right_idx)
                       for col in right.coldata])
-    except _FALLBACK:
+    except _FALLBACK as exc:
+        _fall_back(on_fallback, exc)
         return None
     return _Relation(left.columns + right.columns, coldata=coldata)
 
 
-def _combined_key_codes(pairs, left, right
-                        ) -> tuple[np.ndarray, np.ndarray]:
+def _join_key_codes(pairs, left, right) -> tuple[np.ndarray, np.ndarray]:
     """Joint factorization of every equi-key pair, mixed-radix combined.
 
     Rows match exactly when every per-pair code matches; a NULL in any
@@ -1451,7 +1637,7 @@ def _combined_key_codes(pairs, left, right
         size = max(size, 1)
         radix *= size
         if radix > 2 ** 62:
-            raise _Ineligible        # combined code could overflow int64
+            raise _Ineligible("join key radix overflow")
         l_valid &= lc >= 0
         r_valid &= rc >= 0
         l_total = l_total * size + np.where(lc >= 0, lc, 0)
@@ -1471,15 +1657,18 @@ def _pair_codes(lval: _Val, rval: _Val, nl: int, nr: int
     ints stay float64-representable; NaN keys fall back entirely,
     because a dict matches two NaNs only when they are the *same object*
     (possible in self-joins), which no value-based coding can express.
+    Dictionary keys are coded once per entry.
     """
+    if lval.enc is not None or rval.enc is not None:
+        return _encoded_pair_codes(lval, rval, nl, nr)
     if not lval.is_const and not rval.is_const:
         lk, rk = lval.data.dtype.kind, rval.data.dtype.kind
         if lk in "iubf" and rk in "iubf":
             for arr in (lval.data, rval.data):
                 if arr.dtype.kind in "iu" and _abs_bound(arr) > 2 ** 53:
-                    raise _Ineligible
+                    raise _Ineligible("int key beyond float64 precision")
                 if arr.dtype.kind == "f" and np.isnan(arr).any():
-                    raise _Ineligible
+                    raise _Ineligible("NaN join key")
             lf = lval.data.astype(np.float64)
             rf = rval.data.astype(np.float64)
             uniq = np.unique(np.concatenate([lf, rf]))
@@ -1489,15 +1678,6 @@ def _pair_codes(lval: _Val, rval: _Val, nl: int, nr: int
             uniq = np.unique(np.concatenate([lval.data, rval.data]))
             lcodes = np.searchsorted(uniq, lval.data).astype(np.int64)
             rcodes = np.searchsorted(uniq, rval.data).astype(np.int64)
-        elif (lk == "O" and rk == "O"
-                and lval.null is None and rval.null is None
-                and _all_strings(_column_cells(lval.data))
-                and _all_strings(_column_cells(rval.data))):
-            uniq, inverse = np.unique(
-                np.concatenate([lval.data, rval.data]), return_inverse=True)
-            inverse = inverse.reshape(-1).astype(np.int64)
-            lcodes = inverse[:nl].copy()
-            rcodes = inverse[nl:].copy()
         else:
             return _dict_pair_codes(lval, rval, nl, nr)
         if lval.null is not None:
@@ -1506,6 +1686,38 @@ def _pair_codes(lval: _Val, rval: _Val, nl: int, nr: int
             rcodes[rval.null] = -1
         return lcodes, rcodes, int(uniq.size)
     return _dict_pair_codes(lval, rval, nl, nr)
+
+
+def _encoded_pair_codes(lval: _Val, rval: _Val, nl: int, nr: int
+                        ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Join codes when either key is a dictionary vector.
+
+    Two ordered dictionaries merge into one sorted dictionary and each
+    side's codes are remapped; otherwise every dictionary entry (and
+    every cell of a plain side) is coded through the row path's hash
+    conversion, then gathered to rows.
+    """
+    lenc, renc = lval.enc, rval.enc
+    if lenc is not None and renc is not None \
+            and lenc.ordered and renc.ordered:
+        uniq = np.unique(np.concatenate([lenc.dictionary, renc.dictionary]))
+        lmap = np.searchsorted(uniq, lenc.dictionary).astype(np.int64)
+        rmap = np.searchsorted(uniq, renc.dictionary).astype(np.int64)
+        return lmap[lenc.codes], rmap[renc.codes], int(uniq.size)
+    lent, lsize = _entry_form(lval, nl)
+    rent, rsize = _entry_form(rval, nr)
+    lmap, rmap, size = _dict_pair_codes(lent, rent, lsize, rsize)
+    lcodes = lmap if lenc is None else lmap[lenc.codes]
+    rcodes = rmap if renc is None else rmap[renc.codes]
+    return lcodes, rcodes, size
+
+
+def _entry_form(val: _Val, n: int) -> tuple[_Val, int]:
+    """A dictionary vector's entries, or any other value as it is."""
+    if val.enc is None:
+        return val, n
+    entries, ectx = _entries(val)
+    return entries, ectx.n
 
 
 def _dict_pair_codes(lval: _Val, rval: _Val, nl: int, nr: int
@@ -1522,7 +1734,8 @@ def _dict_pair_codes(lval: _Val, rval: _Val, nl: int, nr: int
                 continue
             key = _hashable_row((cell,))[0]
             if _contains_nan(key):
-                raise _Ineligible    # NaN matches by identity in a dict
+                # NaN matches by identity in a dict
+                raise _Ineligible("NaN join key")
             code = seen.get(key)
             if code is None:
                 code = len(seen)
@@ -1611,13 +1824,14 @@ def _agg_expr_eligible(expr: Node) -> bool:
 def aggregate_shape_eligible(stmt: Select) -> bool:
     """Static shape check for the segmented-aggregation path.
 
-    True when every GROUP BY key is a bare column and every item,
-    HAVING clause, and ORDER BY key is an expression over supported
+    True when every GROUP BY key is a compilable value expression
+    (a column, ``tag['k']``, arithmetic, ...) and every item, HAVING
+    clause, and ORDER BY key is an expression over supported
     aggregates, columns, and literals.  Like
     :func:`predicate_shape_eligible`, runtime dtypes can still force
     the row path (e.g. MIN over an object column).
     """
-    if not all(isinstance(e, ColumnRef) for e in stmt.group_by):
+    if not all(predicate_shape_eligible(e) for e in stmt.group_by):
         return False
     for item in stmt.items:
         if isinstance(item.expr, Star) or not _agg_expr_eligible(item.expr):

@@ -246,7 +246,9 @@ class Executor:
     is the predicate-pushdown hook: given the sargable part of a WHERE
     it may return a pruned ``(table, report)`` superset for a TableRef
     scan (the full WHERE is still re-applied afterwards, so pruning
-    never changes results).
+    never changes results).  ``on_fallback(stage, reason)`` is called
+    whenever a columnar attempt falls back to the row interpreter —
+    ``stage`` is ``filter``, ``aggregate``, ``project`` or ``join``.
     """
 
     def __init__(self, resolve_table: Callable[[str], Table],
@@ -256,12 +258,19 @@ class Executor:
                  scan_table: Callable[
                      [str, ScanPredicate],
                      "tuple[Table, ScanReport] | None"] | None = None,
+                 on_fallback: Callable[[str, str], None] | None = None,
                  ) -> None:
         self._resolve_table = resolve_table
         self._udfs = {name.upper(): fn for name, fn in (udfs or {}).items()}
         self._columnar = columnar
         self._plan = plan
         self._scan_table = scan_table
+        self._on_fallback = on_fallback
+
+    def _fallback_hook(self, stage: str) -> Callable[[str], None] | None:
+        if self._on_fallback is None:
+            return None
+        return functools.partial(self._on_fallback, stage)
 
     def _record(self, node: Node, role: str, rows: int) -> None:
         if self._plan is not None:
@@ -315,7 +324,8 @@ class Executor:
             filtered = None
             if self._columnar and relation.coldata is not None \
                     and self._engine_allows(stmt, "filter"):
-                filtered = columnar.try_filter(relation, stmt.where)
+                filtered = columnar.try_filter(
+                    relation, stmt.where, self._fallback_hook("filter"))
             if filtered is None:
                 rows = [row for row in relation.rows
                         if self._eval(stmt.where, relation, row) is True]
@@ -332,10 +342,12 @@ class Executor:
         if self._columnar and relation.coldata is not None:
             if aggregate_query:
                 if self._engine_allows(stmt, "aggregate"):
-                    table = columnar.try_aggregate(stmt, relation)
+                    table = columnar.try_aggregate(
+                        stmt, relation, self._fallback_hook("aggregate"))
             elif self._engine_allows(stmt, "sort") \
                     and self._engine_allows(stmt, "window"):
-                table = columnar.try_project(stmt, relation)
+                table = columnar.try_project(
+                    stmt, relation, self._fallback_hook("project"))
         if table is None:
             if aggregate_query:
                 table = self._execute_aggregate(stmt, relation)
@@ -433,7 +445,8 @@ class Executor:
                 and self._engine_allows(join, "join"):
             joined = columnar.try_join(join.kind, left, right,
                                        equi_pairs, residual,
-                                       build="left" if build_left else "right")
+                                       build="left" if build_left else "right",
+                                       on_fallback=self._fallback_hook("join"))
             if joined is not None:
                 self._record(join, "join", len(joined))
                 return joined

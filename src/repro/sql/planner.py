@@ -1,10 +1,10 @@
 """Cost-based physical planning over column statistics.
 
-This replaces the old render-only ``plan.py`` with a real plan tree:
-:class:`Planner` walks an optimised AST once, bottom-up, estimating the
-cardinality of every stage from catalog statistics (zone-map-backed for
-scannable providers, one-pass cached summaries for materialised tables)
-and recording three physical decisions the executor then follows:
+:class:`Planner` builds the plan tree: it walks an optimised AST once,
+bottom-up, estimating the cardinality of every stage from catalog
+statistics (zone-map-backed for scannable providers, one-pass cached
+summaries for materialised tables) and recording three physical
+decisions the executor then follows:
 
 - **engine** — each shape-eligible stage runs columnar only when its
   estimated input amortises the fixed vectorization cost

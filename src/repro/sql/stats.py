@@ -38,6 +38,7 @@ from repro.sql.nodes import (
     Subscript,
     UnaryOp,
 )
+from repro.sql.table import DictColumn
 
 #: Default selectivity for a conjunct the estimator cannot reason about —
 #: the classic System R fallback for an arbitrary predicate.
@@ -127,9 +128,33 @@ def table_stats(table) -> TableStats:
     return stats
 
 
-def _summarise_vector(vec: np.ndarray) -> ColumnSummary:
+def _weighted_cells(vec: np.ndarray | DictColumn
+                    ) -> tuple[list[Any], list[int]]:
+    """An object vector's cells, each with the number of rows holding it.
+
+    A dictionary column yields each entry some row uses, once, so the
+    walks below are per entry rather than per row.
+    """
+    if isinstance(vec, DictColumn):
+        counts = np.bincount(vec.codes, minlength=vec.dictionary.size)
+        used = np.flatnonzero(counts)
+        return vec.dictionary[used].tolist(), counts[used].tolist()
+    cells = vec.tolist()
+    return cells, [1] * len(cells)
+
+
+def _summarise_vector(vec: np.ndarray | DictColumn) -> ColumnSummary:
     if vec.size == 0:
         return ColumnSummary(null_count=0, distinct=0)
+    if isinstance(vec, DictColumn) or vec.dtype.kind == "O":
+        cells, weights = _weighted_cells(vec)
+        nulls = sum(w for c, w in zip(cells, weights) if c is None)
+        present = [c for c in cells if c is not None]
+        if present and all(isinstance(c, str) for c in present):
+            return ColumnSummary(min=min(present), max=max(present),
+                                 null_count=nulls,
+                                 distinct=len(set(present)))
+        return ColumnSummary(null_count=nulls)
     kind = vec.dtype.kind
     if kind in "iu":
         return ColumnSummary(min=int(vec.min()), max=int(vec.max()),
@@ -146,36 +171,28 @@ def _summarise_vector(vec: np.ndarray) -> ColumnSummary:
     if kind == "b":
         return ColumnSummary(min=bool(vec.min()), max=bool(vec.max()),
                              null_count=0, distinct=int(np.unique(vec).size))
-    if kind == "O":
-        cells = vec.tolist()
-        nulls = sum(1 for c in cells if c is None)
-        present = [c for c in cells if c is not None]
-        if present and all(isinstance(c, str) for c in present):
-            return ColumnSummary(min=min(present), max=max(present),
-                                 null_count=nulls,
-                                 distinct=len(set(present)))
-        return ColumnSummary(null_count=nulls)
     return ColumnSummary()
 
 
-def _summarise_map_vector(vec: np.ndarray
+def _summarise_map_vector(vec: np.ndarray | DictColumn
                           ) -> list[tuple[str, ColumnSummary]]:
     """Per-key summaries for a column whose cells are all string maps.
 
     Returns ``[]`` unless every non-null cell is a dict — the tsdb
     ``tag`` column.  Cells are typically *shared* dicts (one per
     series), so deduplicating by identity keeps the walk O(distinct
-    dicts × keys) with per-row work limited to one ``id()`` lookup.
+    dicts × keys) with per-row work limited to one ``id()`` lookup —
+    and a dictionary column is walked once per entry, not per row.
     """
-    cells = vec.tolist()
-    present = [c for c in cells if c is not None]
-    if not present or not all(isinstance(c, dict) for c in present):
+    cells, weights = _weighted_cells(vec)
+    present = [(c, w) for c, w in zip(cells, weights) if c is not None]
+    if not present or not all(isinstance(c, dict) for c, _ in present):
         return []
     counts: dict[int, int] = {}
     by_id: dict[int, dict] = {}
-    for cell in present:
+    for cell, weight in present:
         ident = id(cell)
-        counts[ident] = counts.get(ident, 0) + 1
+        counts[ident] = counts.get(ident, 0) + weight
         by_id[ident] = cell
     key_rows: dict[str, int] = {}
     key_values: dict[str, set] = {}
@@ -184,7 +201,7 @@ def _summarise_map_vector(vec: np.ndarray
         for key, value in tags.items():
             key_rows[key] = key_rows.get(key, 0) + n
             key_values.setdefault(key, set()).add(value)
-    rows = len(cells)
+    rows = len(vec)
     out = []
     for key in sorted(key_rows):
         values = key_values[key]

@@ -13,6 +13,13 @@ producers — the tsdb adapter, rollup materialisation — build numpy
 columns directly and skip the per-observation tuple explosion entirely
 until (unless) a row-oriented consumer needs it; ``column()`` reads are
 served from the stored vectors either way.
+
+A column vector may also be a :class:`DictColumn`: integer codes into a
+small dictionary of cells.  The tsdb adapter builds ``metric_name`` and
+``tag`` this way, and :meth:`Table.column_vectors` encodes every
+all-string object column the same way once, so the columnar executor
+runs per-cell work once per dictionary entry.  Cells read through
+``.rows`` or ``column()`` are the dictionary entries themselves.
 """
 
 from __future__ import annotations
@@ -26,6 +33,88 @@ from repro.sql.errors import SchemaError
 Row = tuple
 
 _MISSING = object()
+
+
+class DictColumn:
+    """A dictionary-encoded column: row ``i`` holds ``dictionary[codes[i]]``.
+
+    ``dictionary`` is a 1-D object array of cells, which may include
+    None (a SQL NULL) and may repeat values; ``codes`` is an int vector
+    of positions into it.  ``ordered`` promises that the dictionary
+    holds strictly increasing ``str`` cells, so code order is string
+    order and equal codes mean equal strings.  Gathers and slices touch
+    only the codes and share the dictionary, so every row that came
+    from one entry keeps that entry's object (one tag dict per series).
+    """
+
+    __slots__ = ("codes", "dictionary", "ordered", "_entry_null")
+
+    def __init__(self, codes: np.ndarray, dictionary: np.ndarray,
+                 ordered: bool = False,
+                 entry_null: np.ndarray | None | object = _MISSING) -> None:
+        self.codes = codes
+        self.dictionary = dictionary
+        self.ordered = ordered
+        self._entry_null = entry_null
+
+    @classmethod
+    def encode(cls, column: np.ndarray) -> "DictColumn | None":
+        """The ordered encoding of an all-``str`` object vector, else None.
+
+        One hashing pass numbers the distinct strings by first
+        occurrence; only the distinct strings are then sorted.
+        """
+        if column.dtype != object:
+            return None
+        cells = column.tolist()
+        if not all(type(cell) is str for cell in cells):
+            return None
+        index: dict[str, int] = {}
+        first_codes = np.fromiter(
+            (index.setdefault(cell, len(index)) for cell in cells),
+            dtype=np.int64, count=len(cells))
+        dictionary = sorted(index)
+        rank = np.empty(len(index),
+                        dtype=np.int32 if len(index) < 2 ** 31 else np.int64)
+        rank[[index[cell] for cell in dictionary]] = np.arange(len(index))
+        return cls(rank[first_codes], _as_object_array(dictionary),
+                   ordered=True, entry_null=None)
+
+    @property
+    def entry_null(self) -> np.ndarray | None:
+        """Per-entry NULL flags, or None when no entry is NULL."""
+        if self._entry_null is _MISSING:
+            mask = np.fromiter((cell is None for cell in self.dictionary),
+                               dtype=bool, count=self.dictionary.size)
+            self._entry_null = mask if mask.any() else None
+        return self._entry_null
+
+    def null_mask(self) -> np.ndarray | None:
+        """Per-row NULL mask, or None when no row is NULL."""
+        entry_null = self.entry_null
+        if entry_null is None:
+            return None
+        mask = entry_null[self.codes]
+        return mask if mask.any() else None
+
+    @property
+    def size(self) -> int:
+        return self.codes.size
+
+    def __len__(self) -> int:
+        return self.codes.size
+
+    def __getitem__(self, key: Any) -> "DictColumn":
+        """Rows selected by a slice, boolean mask or index array."""
+        return DictColumn(self.codes[key], self.dictionary, self.ordered,
+                          self._entry_null)
+
+    def decode(self) -> np.ndarray:
+        """The column as a plain object array of its cells."""
+        return self.dictionary[self.codes]
+
+    def tolist(self) -> list[Any]:
+        return self.decode().tolist()
 
 
 class Table:
@@ -114,6 +203,7 @@ class Table:
         table.columns = names
         table._rows = None
         table._coldata = list(data)
+        table._normalised = False
         table._nrows = lengths.pop() if lengths else 0
         table._index = {c: i for i, c in enumerate(names)}
         return table
@@ -127,23 +217,31 @@ class Table:
         """True once row tuples exist (always true for row-built tables)."""
         return self._rows is not None
 
-    def column_vectors(self) -> list[np.ndarray] | None:
-        """Normalised per-column numpy vectors, or None for row-built tables.
+    def column_vectors(self) -> list[np.ndarray | DictColumn] | None:
+        """Normalised column vectors, or None for row-built tables.
 
         This is the columnar executor's entry point to ``_coldata``:
-        numpy columns are returned as stored (zero-copy); list/tuple
-        columns are wrapped in object arrays so boolean-mask gathers
-        work uniformly.  The normalised vectors are cached back into
-        ``_coldata`` so repeated scans pay the wrapping once.  Cell
-        values observed through a vector are exactly the cells ``.rows``
-        would materialise (``_column_cells`` applies the same
-        conversion).
+        numpy and :class:`DictColumn` vectors are returned as stored
+        (zero-copy); list/tuple columns are wrapped in object arrays so
+        boolean-mask gathers work uniformly, and object columns whose
+        cells are all ``str`` become ordered :class:`DictColumn` vectors.
+        The normalised vectors are cached back into ``_coldata`` so
+        repeated scans pay the conversion once.  Cell values observed
+        through a vector are exactly the cells ``.rows`` would
+        materialise (``_column_cells`` applies the same conversion).
         """
         if self._coldata is None:
             return None
-        for i, col in enumerate(self._coldata):
-            if not isinstance(col, np.ndarray):
-                self._coldata[i] = _as_object_array(list(col))
+        if not self._normalised:
+            for i, col in enumerate(self._coldata):
+                if not isinstance(col, (np.ndarray, DictColumn)):
+                    col = _as_object_array(list(col))
+                if isinstance(col, np.ndarray) and col.dtype == object:
+                    encoded = DictColumn.encode(col)
+                    if encoded is not None:
+                        col = encoded
+                self._coldata[i] = col
+            self._normalised = True
         return list(self._coldata)
 
     def gather(self, selector: np.ndarray) -> "Table":
@@ -317,7 +415,7 @@ class Table:
 
 def _column_cells(column: Any) -> list[Any]:
     """One column vector as a list of plain Python cell values."""
-    if isinstance(column, np.ndarray):
+    if isinstance(column, (np.ndarray, DictColumn)):
         return column.tolist()
     return list(column)
 

@@ -13,19 +13,22 @@ actually changes.
 
 Materialisation is columnar: the per-series consolidated numpy columns
 are concatenated, ordered with one ``lexsort`` over ``(timestamp,
-metric-name rank)``, and handed to :meth:`Table.from_columns` — no
-per-observation Python tuple is built unless a row-oriented consumer
-asks for ``.rows``.  Row ordering and cell values are identical to the
-historical per-point explosion (a stable sort by ``(timestamp,
-metric_name)`` over series in ``series_ids()`` order).
+metric-name code)``, and handed to :meth:`Table.from_columns`.  Row
+ordering and cell values are identical to the historical per-point
+explosion (a stable sort by ``(timestamp, metric_name)`` over series in
+``series_ids()`` order).
 
 The column vectors built here are what the columnar SQL executor
 (:mod:`repro.sql.columnar`) consumes directly: ``timestamp``/``value``
-stay int64/float64 so WHERE predicates over them compile to numpy
-masks and GROUP BY aggregates run as segmented reductions, which is
-the ingest→query path's end-to-end columnar story — at no point
-between ``insert_array`` and an aggregate query result does a
-per-observation Python object exist.
+stay int64/float64, and ``metric_name``/``tag`` are
+:class:`~repro.sql.table.DictColumn` vectors — int32 codes into the sorted
+distinct metric names and into the per-series tag dicts.  WHERE
+predicates compile to numpy masks (string and map predicates run once
+per dictionary entry), GROUP BY keys and ORDER BY sort codes come
+straight from the codes, and aggregates run as segmented reductions.
+Between ``insert_array`` and an aggregate query result no
+per-observation Python object exists; strings and tag dicts are
+gathered per row only when a caller reads ``.rows`` or ``column()``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 
 from repro.sql.scan import ScanPredicate, ScanReport
 from repro.sql.stats import ColumnSummary, TableStats
-from repro.sql.table import Table
+from repro.sql.table import DictColumn, Table, _as_object_array
 from repro.tsdb.model import SeriesId
 from repro.tsdb.storage import TimeSeriesStore
 
@@ -51,43 +54,45 @@ def observations_to_table(
     ``items`` yields per-series ``(series, timestamps, values)`` column
     triples; the result is ordered by ``(timestamp, metric_name)`` with
     ties keeping the input series order (the ordering the row-explode
-    path produced with a stable Python sort).  Each series' rows share
-    one tag dict, as before.
+    path produced with a stable Python sort).  ``metric_name`` is a
+    :class:`DictColumn` over the sorted distinct names and ``tag`` one
+    over the per-series tag dicts, so each series' rows share one tag
+    dict, as before.
     """
     ts_parts: list[np.ndarray] = []
     val_parts: list[np.ndarray] = []
-    metas: list[tuple[str, dict, int]] = []
+    names: list[str] = []
+    tag_maps: list[dict] = []
     for series, ts, vals in items:
         if ts.size == 0:
             continue
         ts_parts.append(ts)
         val_parts.append(vals)
-        metas.append((series.name, series.tag_map(), int(ts.size)))
+        names.append(series.name)
+        tag_maps.append(series.tag_map())
     if not ts_parts:
         return Table(TSDB_COLUMNS, [])
     ts_all = np.concatenate(ts_parts)
     val_all = np.concatenate(val_parts)
-    total = int(ts_all.size)
-    lengths = np.asarray([n for _, _, n in metas], dtype=np.intp)
-    # Rank metric names so the secondary sort key is an int column; the
-    # ranks order exactly like the strings they stand for.
-    name_rank = {name: i
-                 for i, name in enumerate(sorted({m[0] for m in metas}))}
-    codes = np.repeat(
-        np.asarray([name_rank[name] for name, _, _ in metas],
-                   dtype=np.int64),
+    lengths = np.asarray([part.size for part in ts_parts], dtype=np.intp)
+    # The sorted distinct names are the metric_name dictionary: a code
+    # orders exactly like the string it stands for, so it doubles as
+    # the secondary sort key.
+    dictionary = sorted(set(names))
+    name_rank = {name: i for i, name in enumerate(dictionary)}
+    name_codes = np.repeat(
+        np.asarray([name_rank[name] for name in names], dtype=np.int32),
         lengths)
-    order = np.lexsort((codes, ts_all))   # primary ts, secondary name; stable
-    name_col = np.empty(total, dtype=object)
-    tag_col = np.empty(total, dtype=object)
-    offset = 0
-    for name, tags, n in metas:
-        name_col[offset:offset + n] = name
-        tag_col[offset:offset + n] = [tags] * n   # one shared dict per series
-        offset += n
-    return Table.from_columns(
-        TSDB_COLUMNS,
-        [ts_all[order], name_col[order], tag_col[order], val_all[order]])
+    series_codes = np.repeat(np.arange(len(names), dtype=np.int32), lengths)
+    order = np.lexsort((name_codes, ts_all))  # primary ts, then name; stable
+    return Table.from_columns(TSDB_COLUMNS, [
+        ts_all[order],
+        DictColumn(name_codes[order], _as_object_array(dictionary),
+                   ordered=True, entry_null=None),
+        DictColumn(series_codes[order], _as_object_array(tag_maps),
+                   entry_null=None),
+        val_all[order],
+    ])
 
 
 def tsdb_table(store: TimeSeriesStore,

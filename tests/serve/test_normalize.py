@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serve.cache import normalize_query
+from repro.serve.cache import NORMALIZE_CACHE_ENTRIES, normalize_query
 from repro.sql.errors import ParseError
 from repro.sql.optimizer import optimize
 from repro.sql.parser import parse
@@ -75,3 +75,20 @@ def test_string_literals_requote_canonically():
 def test_rejects_unlexable_input():
     with pytest.raises(ParseError):
         normalize_query("SELECT 'unterminated")
+
+
+def test_memoised_per_raw_text_and_bounded():
+    query = "select   metric_name from tsdb -- memo probe"
+    first = normalize_query(query)
+    hits = normalize_query.cache_info().hits
+    assert normalize_query(query) is first
+    assert normalize_query.cache_info().hits == hits + 1
+    assert normalize_query.cache_info().maxsize == NORMALIZE_CACHE_ENTRIES
+
+
+def test_parse_errors_are_not_memoised():
+    before = normalize_query.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            normalize_query("SELECT 'unterminated")
+    assert normalize_query.cache_info().currsize == before

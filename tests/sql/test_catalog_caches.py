@@ -7,6 +7,7 @@ from repro.sql.catalog import _SCAN_CACHE_SIZE
 from repro.sql.scan import ScanPredicate
 from repro.tsdb.adapter import register_store
 from repro.tsdb.model import SeriesId
+from repro.tsdb.sharded import ShardedTimeSeriesStore
 from repro.tsdb.storage import TimeSeriesStore
 
 
@@ -83,3 +84,57 @@ def test_drop_clears_provider_caches():
     db.sql("SELECT COUNT(*) FROM tsdb")
     db.drop("tsdb")
     assert db.cache_info()["scan_entries"] == {}
+
+
+#: The dashboard panel shapes: GROUP BY name, a time-range cut, tag
+#: cuts and a point filter, all over the dictionary-encoded columns.
+PANELS = [
+    "SELECT metric_name, COUNT(*) AS n, AVG(value) AS v FROM tsdb "
+    "GROUP BY metric_name ORDER BY metric_name",
+    "SELECT metric_name, MIN(value) AS lo, MAX(value) AS hi FROM tsdb "
+    "WHERE timestamp BETWEEN 64 AND 512 GROUP BY metric_name "
+    "ORDER BY metric_name",
+    "SELECT metric_name, COUNT(*) AS n FROM tsdb "
+    "WHERE tag['host'] = 'h1' GROUP BY metric_name ORDER BY metric_name",
+    "SELECT COUNT(*) AS n, AVG(value) AS v FROM tsdb "
+    "WHERE metric_name = 'target_metric'",
+    "SELECT metric_name, AVG(value) AS v FROM tsdb "
+    "WHERE tag['host'] = 'h0' GROUP BY metric_name ORDER BY v DESC",
+]
+
+
+def make_sharded_store(hosts=4, n=600):
+    rng = np.random.default_rng(7)
+    store = ShardedTimeSeriesStore(n_shards=4)
+    ts = np.arange(n, dtype=np.int64)
+    for h in range(hosts):
+        for name in ("cause_metric", "target_metric", "decoy_0", "decoy_1"):
+            store.insert_array(SeriesId.make(name, {"host": f"h{h}"}),
+                               ts, rng.standard_normal(n))
+    return store
+
+
+def test_dashboard_panels_never_fall_back():
+    store = make_sharded_store()
+    db = Database()
+    register_store(db, store)
+    reference = Database(columnar=False)
+    register_store(reference, store)
+    for query in PANELS:
+        assert db.sql(query) == reference.sql(query), query
+    assert db.cache_info()["columnar_fallbacks"] == {}
+
+
+def test_fallbacks_counted_per_stage_and_reason():
+    store = make_store()
+    store.insert_array(SeriesId.make("metric_0", {"host": "h0"}),
+                       np.asarray([500], dtype=np.int64),
+                       np.asarray([np.nan]))
+    db = Database()
+    register_store(db, store)
+    for _ in range(2):
+        db.sql("SELECT metric_name, MIN(value) AS lo FROM tsdb "
+               "GROUP BY metric_name")
+    assert db.cache_info()["columnar_fallbacks"] == {
+        ("aggregate", "MIN/MAX over NaN"): 2}
+    assert Database().cache_info()["columnar_fallbacks"] == {}

@@ -13,12 +13,20 @@ invisible in the output.
 """
 
 import math
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
 
 from repro.sql.catalog import Database
 from repro.sql.table import Table
+from repro.tsdb.adapter import (
+    observations_to_table,
+    register_store,
+    tsdb_table,
+)
+from repro.tsdb.model import SeriesId
+from repro.tsdb.storage import TimeSeriesStore
 
 METRICS = ["cpu", "disk", "net"]
 HOSTS = ["h0", "h1", None]
@@ -249,3 +257,230 @@ def test_filter_parity_and_optimizer_interplay(table, predicate):
         for got, want in zip(other.rows, first.rows):
             for ca, cb in zip(got, want):
                 assert _cells_equal(ca, cb), query
+
+
+# ---------------------------------------------------------------------------
+# Dictionary-encoded tsdb columns: tables from observations_to_table
+# ---------------------------------------------------------------------------
+SERIES_NAMES = ["cpu", "disk", "net", "mem"]
+#: Name constants both inside and outside every drawn dictionary.
+NAME_CONSTS = ["'cpu'", "'disk'", "'aaa'", "'cpx'", "'zzz'", "''"]
+
+
+@st.composite
+def series_sets(draw):
+    """Per-series ``(SeriesId, timestamps, values)``; tags may be absent."""
+    out, seen = [], set()
+    for _ in range(draw(st.integers(0, 7))):
+        tags = {}
+        host = draw(st.sampled_from(["h0", "h1", "h2", None]))
+        if host is not None:
+            tags["host"] = host
+        if draw(st.booleans()):
+            tags["dc"] = draw(st.sampled_from(["east", "west"]))
+        series = SeriesId.make(draw(st.sampled_from(SERIES_NAMES)), tags)
+        if series in seen:
+            continue
+        seen.add(series)
+        ts = np.asarray(sorted(set(draw(st.lists(
+            st.integers(0, 40), max_size=14)))), dtype=np.int64)
+        vals = np.asarray(draw(st.lists(
+            st.floats(-50, 50), min_size=ts.size, max_size=ts.size)),
+            dtype=np.float64).reshape(ts.size)
+        out.append((series, ts, vals))
+    return out
+
+
+@st.composite
+def dict_predicates(draw, depth: int = 1):
+    kind = draw(st.sampled_from(
+        ["cmp", "in", "like", "between", "tag", "tag_null", "numeric"]
+        + (["and", "or", "not"] if depth > 0 else [])))
+    if kind in ("and", "or"):
+        left = draw(dict_predicates(depth=depth - 1))
+        right = draw(dict_predicates(depth=depth - 1))
+        return f"({left} {kind.upper()} {right})"
+    if kind == "not":
+        return f"(NOT {draw(dict_predicates(depth=depth - 1))})"
+    neg = "NOT " if draw(st.booleans()) else ""
+    if kind == "cmp":
+        op = draw(st.sampled_from(["=", "<>", "<", "<=", ">", ">="]))
+        const = draw(st.sampled_from(NAME_CONSTS))
+        if draw(st.booleans()):
+            return f"({const} {op} metric_name)"
+        return f"(metric_name {op} {const})"
+    if kind == "in":
+        items = draw(st.lists(st.sampled_from(NAME_CONSTS + ["NULL"]),
+                              min_size=1, max_size=3))
+        return f"(metric_name {neg}IN ({', '.join(items)}))"
+    if kind == "like":
+        pattern = draw(st.sampled_from(["c%", "%s%", "_pu", "zz%", "%"]))
+        return f"(metric_name {neg}LIKE '{pattern}')"
+    if kind == "between":
+        low, high = sorted(draw(st.lists(st.sampled_from(NAME_CONSTS),
+                                         min_size=2, max_size=2)))
+        return f"(metric_name {neg}BETWEEN {low} AND {high})"
+    if kind == "tag":
+        op = draw(st.sampled_from(["=", "<>", "<"]))
+        key = draw(st.sampled_from(["host", "dc", "ghost"]))
+        value = draw(st.sampled_from(["'h1'", "'east'", "'zz'"]))
+        return f"(tag['{key}'] {op} {value})"
+    if kind == "tag_null":
+        key = draw(st.sampled_from(["host", "dc"]))
+        return f"(tag['{key}'] IS {neg}NULL)"
+    return draw(st.sampled_from(
+        ["(timestamp BETWEEN 3 AND 20)", "(value > 0)", "(timestamp < 9)"]))
+
+
+DICT_STATEMENTS = [
+    "SELECT timestamp, metric_name, tag, value FROM tsdb{where}",
+    "SELECT metric_name, tag['host'] AS h, value FROM tsdb{where} "
+    "ORDER BY metric_name{dir}, h{dir}, timestamp",
+    "SELECT tag['dc'] AS dc, timestamp FROM tsdb{where} "
+    "ORDER BY dc{dir}, timestamp{dir}",
+    "SELECT metric_name, COUNT(*) AS n, SUM(value) AS s FROM tsdb{where} "
+    "GROUP BY metric_name ORDER BY metric_name{dir}",
+    "SELECT metric_name, AVG(value) AS v FROM tsdb{where} "
+    "GROUP BY metric_name",
+    "SELECT tag['host'] AS h, COUNT(*) AS n FROM tsdb{where} "
+    "GROUP BY tag['host'] ORDER BY h{dir}",
+    "SELECT metric_name, tag['host'] AS h, COUNT(*) AS n, SUM(value) AS s "
+    "FROM tsdb{where} GROUP BY metric_name, tag['host']",
+    "SELECT metric_name, tag['host'] AS h, COUNT(tag['dc']) AS n "
+    "FROM tsdb{where} GROUP BY metric_name, tag['host'] "
+    "ORDER BY n{dir}, metric_name{dir}",
+    "SELECT h, COUNT(*) AS n FROM (SELECT tag['host'] AS h, value "
+    "FROM tsdb{where}) GROUP BY h ORDER BY h{dir}",
+    "SELECT metric_name, RANK(metric_name) OVER (PARTITION BY tag['host']) "
+    "AS r FROM tsdb{where}",
+    "SELECT t.timestamp, t.metric_name, d.owner FROM tsdb t "
+    "JOIN owners d ON t.metric_name = d.name{where}",
+    "SELECT t.metric_name, d.owner FROM tsdb t "
+    "LEFT JOIN owners d ON t.metric_name = d.name{where} "
+    "ORDER BY t.metric_name{dir}",
+]
+
+#: Join partner: one owner per name, a name absent from the store, and
+#: a name not every drawn store holds.
+OWNERS = Table.from_columns(
+    ["name", "owner"],
+    [np.asarray(["cpu", "net", "zzz", "mem"], dtype=object),
+     np.asarray(["alice", "bob", "carol", "dave"], dtype=object)])
+
+
+def _exploded(store) -> Table:
+    """The tsdb relation by per-point explosion: the independent oracle.
+
+    One tuple per observation, stably sorted by ``(timestamp,
+    metric_name)`` over series in ``series_ids()`` order, each series'
+    rows sharing one tag dict.
+    """
+    rows = []
+    for series in store.series_ids():
+        tags = series.tag_map()
+        ts, vals = store.arrays(series)
+        rows.extend((t, series.name, tags, v)
+                    for t, v in zip(ts.tolist(), vals.tolist()))
+    rows.sort(key=lambda row: (row[0], row[1]))
+    return Table(["timestamp", "metric_name", "tag", "value"], rows)
+
+
+def _cell_bits(cell):
+    if isinstance(cell, float):
+        return ("float", cell.hex())
+    return (type(cell).__name__, cell)
+
+
+def _table_bits(table: Table) -> tuple:
+    return (tuple(table.columns),
+            tuple(tuple(_cell_bits(c) for c in row) for row in table.rows))
+
+
+def _store_of(triples) -> TimeSeriesStore:
+    store = TimeSeriesStore()
+    for series, ts, vals in triples:
+        store.insert_array(series, ts, vals)
+    return store
+
+
+@given(series_sets(), st.sampled_from(DICT_STATEMENTS),
+       st.one_of(st.none(), dict_predicates()),
+       st.sampled_from(["", " ASC", " DESC"]))
+@settings(max_examples=300, deadline=None)
+def test_dictionary_columns_match_row_interpreter(triples, template, where,
+                                                  direction):
+    """Pruned columnar, unpruned columnar and exploded-row results agree.
+
+    The planner's small-input cut-over is lifted so every eligible stage
+    of these small tables really runs columnar.
+    """
+    if where is not None and " t " in template:
+        where = where.replace("metric_name", "t.metric_name") \
+            .replace("tag[", "t.tag[").replace("timestamp", "t.timestamp") \
+            .replace("value", "t.value")
+    query = template.format(where=f" WHERE {where}" if where else "",
+                            dir=direction)
+    store = _store_of(triples)
+    pruned = Database()
+    register_store(pruned, store)
+    unpruned = Database()
+    unpruned.register("tsdb", tsdb_table(store))
+    reference = Database(columnar=False)
+    reference.register("tsdb", _exploded(store))
+    for db in (pruned, unpruned, reference):
+        db.register("owners", OWNERS)
+    want = _table_bits(reference.sql(query))
+    with mock.patch("repro.sql.planner.COLUMNAR_MIN_ROWS", 0):
+        assert _table_bits(pruned.sql(query)) == want, query
+        assert _table_bits(unpruned.sql(query)) == want, query
+
+
+@given(series_sets())
+@settings(max_examples=100, deadline=None)
+def test_dictionary_rows_share_one_tag_dict_per_series(triples):
+    store = _store_of(triples)
+    table = observations_to_table(store.iter_arrays())
+    assert _table_bits(table) == _table_bits(_exploded(store))
+    by_series: dict = {}
+    for _, name, tags, _ in table.rows:
+        by_series.setdefault((name, tuple(sorted(tags.items()))),
+                             []).append(tags)
+    assert len(by_series) == sum(1 for _, ts, _ in triples if ts.size)
+    for shared in by_series.values():
+        assert all(tags is shared[0] for tags in shared)
+    column = table.column("tag")
+    assert all(a is b for a, b in zip(column, (row[2] for row in table.rows)))
+
+
+def test_dictionary_templates_run_columnar_without_fallback():
+    """Every template, on a store big enough for the planner to pick the
+    columnar engine, matches the oracle with no columnar fallback."""
+    rng = np.random.default_rng(3)
+    triples = []
+    for i, name in enumerate(SERIES_NAMES):
+        for host in ("h0", "h1", None):
+            tags = {} if host is None else {"host": host}
+            if i % 2:
+                tags["dc"] = "east"
+            ts = np.arange(i, 40, 2, dtype=np.int64)
+            triples.append((SeriesId.make(name, tags), ts,
+                            rng.standard_normal(ts.size)))
+    store = _store_of(triples)
+    reference = Database(columnar=False)
+    reference.register("tsdb", _exploded(store))
+    reference.register("owners", OWNERS)
+    wheres = ["", " WHERE metric_name IN ('cpu', 'zzz')",
+              " WHERE tag['host'] IS NULL", " WHERE metric_name LIKE '%e%'",
+              " WHERE metric_name BETWEEN 'aaa' AND 'disk'"]
+    for template in DICT_STATEMENTS:
+        for where in wheres:
+            if " t " in template:
+                where = where.replace("metric_name", "t.metric_name") \
+                    .replace("tag[", "t.tag[")
+            query = template.format(where=where, dir=" DESC")
+            db = Database()
+            register_store(db, store)
+            db.register("owners", OWNERS)
+            assert _table_bits(db.sql(query)) == \
+                _table_bits(reference.sql(query)), query
+            assert db.cache_info()["columnar_fallbacks"] == {}, query

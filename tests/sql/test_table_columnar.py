@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sql.errors import SchemaError
-from repro.sql.table import Table
+from repro.sql.table import DictColumn, Table
 
 
 def _columnar():
@@ -87,3 +87,27 @@ class TestFromColumns:
         table = Table(["a"], [(1,), (2,)])
         assert table.is_materialised()
         assert len(table) == 2
+
+    def test_string_columns_encode_once_cells_unchanged(self):
+        table = _columnar()
+        text = np.asarray(["b", None, "a"], dtype=object)
+        mixed = Table.from_columns(["s", "m"], [np.asarray(
+            ["b", "a", "b"], dtype=object), text])
+        name, note = mixed.column_vectors()
+        assert isinstance(name, DictColumn) and name.ordered
+        assert name.dictionary.tolist() == ["a", "b"]
+        assert note is text                 # not all-str: left as is
+        assert mixed.column_vectors()[0] is name
+        assert mixed.rows == [("b", "b"), ("a", None), ("b", "a")]
+        assert isinstance(table.column_vectors()[1], DictColumn)
+        assert table.column("name") == ["a", "b", "a", "b"]
+
+    def test_dict_column_gathers_share_entries(self):
+        tags = [{"host": "h0"}, {"host": "h1"}]
+        col = DictColumn(np.asarray([1, 0, 1], dtype=np.int32),
+                         np.asarray(tags, dtype=object))
+        table = Table.from_columns(["tag"], [col])
+        picked = table.gather(np.asarray([True, False, True]))
+        assert picked.rows == [(tags[1],), (tags[1],)]
+        assert all(row[0] is tags[1] for row in picked.rows)
+        assert table.slice_rows(1, None).column("tag")[0] is tags[0]
