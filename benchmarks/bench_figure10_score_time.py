@@ -1,44 +1,62 @@
-"""Figure 10: score-time distributions per scorer, plus backend timings.
+"""Figure 10: score-time distributions per scorer, plus the engine's gain.
 
 The paper plots the mean and max score time per feature family for the
 five scorers across the 11 scenarios, finding joint methods within 2-3x
 of the univariate ones on average (1.5x for max).  We reproduce the
-measurement on the incident suite and print the density summary.
+measurement on the incident suite and print the density summary.  The
+per-family times come from the per-hypothesis loop of
+``per_hypothesis.py`` — each family's score call measured on its own —
+not from the engine, whose batch planner times one stacked call per
+shape group and gives its members equal shares.
 
-The backend comparison measures the same workload through the
-``HypothesisExecutor`` backends: the legacy ``thread`` pool versus the
-vectorized ``batch`` planner, which groups hypotheses by shared (Y, Z)
-and scores each group in stacked numpy calls.  The interactive budget of
-Figure 10 is exactly what batching buys back: on 500+ hypotheses the
-batch backend must be at least 2x faster than the seed thread backend
-while producing a bitwise-identical Score Table.
-
-The transfer comparison reruns the §6.2 serialisation measurement under
-the process backend's two matrix transfers: ``pickle`` pays a real
-dumps/loads per hypothesis, ``shm`` copies each batch group into shared
-memory once and ships zero-copy handles.  On 500 hypotheses the shm
-serialisation share must be at least 2x below the pickle share.
+The backend comparison runs the same workload through the paper's
+per-hypothesis schedule (``thread``: a thread pool, one hypothesis per
+task; ``pickle``: the same with every hypothesis's matrices pickled, as
+for a process worker) and through the engine's batch planner
+(``batch``: ``rank_families``).  The interactive budget of Figure 10 is
+exactly what batching buys back: on 500+ hypotheses the batch planner
+must be at least 2x faster than the thread pool while producing a
+bitwise-identical Score Table.
 """
+
+import importlib.util
+import pathlib
+import sys
 
 import numpy as np
 import pytest
 
 from repro.core.families import FamilySet, FeatureFamily
 from repro.core.hypothesis import generate_hypotheses
-from repro.engine_exec import HypothesisExecutor
-from repro.evalkit import evaluate_scorers, timing_summary
+from repro.core.ranking import rank_families
+from repro.evalkit import timing_summary
+from repro.evalkit.harness import EvaluationResult, ScenarioOutcome
+
+
+def _load_per_hypothesis():
+    """``benchmarks/per_hypothesis.py``, loaded by path (no package)."""
+    module = sys.modules.get("per_hypothesis")
+    if module is None:
+        spec = importlib.util.spec_from_file_location(
+            "per_hypothesis",
+            pathlib.Path(__file__).with_name("per_hypothesis.py"))
+        module = importlib.util.module_from_spec(spec)
+        sys.modules["per_hypothesis"] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+per_hypothesis = _load_per_hypothesis()
 
 SCORERS = ("CorrMean", "CorrMax", "L2", "L2-P50", "L2-P500")
+
+#: Schedules the backend comparison can run; see the module docstring.
+BACKENDS = ("thread", "pickle", "batch")
 
 #: Columns of one backend timing row; the smoke test checks this schema.
 BACKEND_ROW_FIELDS = ("backend", "scorer", "n_hypotheses", "n_workers",
                       "wall_seconds", "mean_seconds_per_family",
                       "max_seconds_per_family", "share_attributed")
-
-#: Columns of one transfer overhead row; the smoke test checks this too.
-TRANSFER_ROW_FIELDS = ("transfer", "scorer", "n_hypotheses", "n_workers",
-                       "bytes_moved", "serialize_seconds", "score_seconds",
-                       "serialization_share")
 
 
 def synthetic_hypotheses(n_families: int = 500, n_samples: int = 150,
@@ -60,31 +78,58 @@ def synthetic_hypotheses(n_families: int = 500, n_samples: int = 150,
 
 def backend_timing_rows(hypotheses, scorer="L2",
                         backends=("thread", "batch"),
-                        n_workers: int = 4,
-                        transfer: str = "shm") -> list[dict]:
+                        n_workers: int = 4) -> list[dict]:
     """One timing row per backend for the same hypothesis workload.
 
     ``share_attributed`` marks rows whose per-family times are equal
-    shares of a stacked call (the batch backend) rather than individual
+    shares of a stacked call (the batch planner) rather than individual
     measurements — their max/fam collapses toward the mean and should
     not be read as a true per-family max.
     """
     rows = []
     for backend in backends:
-        executor = HypothesisExecutor(n_workers=n_workers, backend=backend,
-                                      transfer=transfer)
-        report = executor.run(hypotheses, scorer=scorer)
+        if backend not in BACKENDS:
+            raise ValueError(
+                f"backend must be one of {BACKENDS}, got {backend!r}")
+        if backend == "batch":
+            table = rank_families(hypotheses, scorer=scorer)
+            seconds = [row.seconds for row in table.results]
+            wall = table.total_seconds
+        else:
+            report = per_hypothesis.score_per_hypothesis(
+                hypotheses, scorer=scorer, n_workers=n_workers,
+                pickle_matrices=backend == "pickle")
+            table, seconds, wall = (report.score_table, report.seconds,
+                                    report.wall_seconds)
         rows.append({
             "backend": backend,
-            "scorer": report.score_table.scorer_name,
+            "scorer": table.scorer_name,
             "n_hypotheses": len(hypotheses),
             "n_workers": n_workers,
-            "wall_seconds": report.wall_seconds,
-            "mean_seconds_per_family": report.mean_seconds_per_family(),
-            "max_seconds_per_family": report.max_seconds_per_family(),
-            "share_attributed": report.has_attributed_timings(),
+            "wall_seconds": wall,
+            "mean_seconds_per_family": float(np.mean(seconds)),
+            "max_seconds_per_family": float(np.max(seconds)),
+            "share_attributed": backend == "batch",
         })
     return rows
+
+
+def rankings_match_engine(hypotheses, scorer="L2",
+                          n_workers: int = 2) -> bool:
+    """Do both per-hypothesis schedules rank exactly like the engine?
+
+    Compares family order, ranks, scores by float hex and p-values.
+    """
+    def fields(table):
+        return [(r.family, r.rank, float(r.score).hex(),
+                 float(r.p_value).hex()) for r in table.results]
+
+    engine = fields(rank_families(hypotheses, scorer=scorer))
+    return all(
+        fields(per_hypothesis.score_per_hypothesis(
+            hypotheses, scorer=scorer, n_workers=n_workers,
+            pickle_matrices=pickled).score_table) == engine
+        for pickled in (False, True))
 
 
 def format_backend_rows(rows) -> str:
@@ -103,53 +148,8 @@ def format_backend_rows(rows) -> str:
     return "\n".join(lines)
 
 
-def serialization_overhead_rows(hypotheses, scorer="CorrMax",
-                                transfers=("pickle", "shm"),
-                                n_workers: int = 4) -> list[dict]:
-    """§6.2 reproduced per transfer mode: one accounting row each."""
-    if n_workers < 2:
-        # With one worker the executor degenerates to the sequential
-        # loop and neither transfer mechanism runs; the comparison
-        # would measure nothing.
-        raise ValueError("transfer comparison needs n_workers >= 2")
-    rows = []
-    for transfer in transfers:
-        executor = HypothesisExecutor(n_workers=n_workers,
-                                      backend="process", transfer=transfer,
-                                      measure_serialization=True)
-        report = executor.run(hypotheses, scorer=scorer)
-        summary = report.accounting.summary()
-        rows.append({
-            "transfer": transfer,
-            "scorer": report.score_table.scorer_name,
-            "n_hypotheses": len(hypotheses),
-            "n_workers": n_workers,
-            "bytes_moved": summary["bytes_moved"],
-            "serialize_seconds": summary["serialize_seconds"],
-            "score_seconds": summary["score_seconds"],
-            "serialization_share": summary["serialization_share"],
-        })
-    return rows
-
-
-def format_transfer_rows(rows) -> str:
-    header = (f"{'Transfer':<10}{'Scorer':<10}{'#Hyp':>7}{'Workers':>9}"
-              f"{'MB moved':>10}{'ser(s)':>10}{'score(s)':>10}{'share':>8}")
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{row['transfer']:<10}{row['scorer']:<10}"
-            f"{row['n_hypotheses']:>7}{row['n_workers']:>9}"
-            f"{row['bytes_moved'] / 1e6:>10.2f}"
-            f"{row['serialize_seconds']:>10.4f}"
-            f"{row['score_seconds']:>10.4f}"
-            f"{row['serialization_share']:>8.3f}"
-        )
-    return "\n".join(lines)
-
-
 def test_batched_backend_speedup():
-    """The batch backend is >=2x faster than threads on 500 hypotheses."""
+    """The batch planner is >=2x faster than threads on 500 hypotheses."""
     hypotheses = synthetic_hypotheses(n_families=500)
     # Warm up BLAS/thread pools so neither backend pays one-time costs.
     warmup = hypotheses[:8]
@@ -167,29 +167,31 @@ def test_batched_backend_speedup():
     assert speedup >= 2.0
 
 
-def test_shm_transfer_cuts_serialization_share():
-    """§6.2 fixed: shm share is >=2x below pickle on 500 hypotheses."""
-    hypotheses = synthetic_hypotheses(n_families=500)
-    # Warm up the process pool machinery so neither mode pays fork costs.
-    serialization_overhead_rows(hypotheses[:8], n_workers=2)
-    rows = serialization_overhead_rows(hypotheses)
-    print()
-    print("=" * 76)
-    print("Figure 12/13 companion — transfer overhead on 500 hypotheses")
-    print("=" * 76)
-    print(format_transfer_rows(rows))
-    by_transfer = {row["transfer"]: row for row in rows}
-    ratio = (by_transfer["pickle"]["serialization_share"]
-             / by_transfer["shm"]["serialization_share"])
-    print(f"pickle/shm serialization-share ratio: {ratio:.1f}x")
-    assert by_transfer["shm"]["bytes_moved"] \
-        < by_transfer["pickle"]["bytes_moved"]
-    assert ratio >= 2.0
+def figure10_evaluation(incidents, scorers=SCORERS) -> EvaluationResult:
+    """Per-family score times from the per-hypothesis loop.
+
+    Shaped as an :class:`~repro.evalkit.harness.EvaluationResult` (gains
+    left empty) so :func:`~repro.evalkit.timing_summary` summarises it.
+    """
+    outcomes = []
+    for incident in incidents:
+        hypotheses = generate_hypotheses(incident.families, incident.target)
+        for scorer in scorers:
+            report = per_hypothesis.score_per_hypothesis(hypotheses, scorer)
+            outcomes.append(ScenarioOutcome(
+                incident=incident.name, scorer=scorer,
+                n_families=incident.n_families,
+                n_features=incident.n_features, gain=None, log_gain=None,
+                first_cause_rank=None, success={},
+                seconds_total=report.wall_seconds,
+                seconds_per_family=report.seconds))
+    return EvaluationResult(outcomes=outcomes, scorers=list(scorers),
+                            incidents=[i.name for i in incidents])
 
 
 @pytest.fixture(scope="module")
 def evaluation(incidents):
-    return evaluate_scorers(incidents, scorers=SCORERS)
+    return figure10_evaluation(incidents)
 
 
 def test_figure10_report(evaluation, benchmark):

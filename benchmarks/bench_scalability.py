@@ -6,16 +6,38 @@ The paper's findings to reproduce in shape:
 - serialisation is ~25% of univariate score time but ~5% of joint;
 - hypothesis-level parallelism scales without distributed-ML complexity;
 - full-structure discovery (PC) is the wrong tool at scale.
+
+The first three run the paper's per-hypothesis schedule from
+``per_hypothesis.py`` (sequential loop, thread pool, pickle round trip);
+the engine itself ranks through the batch planner.
 """
 
+import importlib.util
+import pathlib
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from repro.core.hypothesis import generate_hypotheses
-from repro.engine_exec import HypothesisExecutor
 from repro.workloads.incidents import IncidentSpec, make_incident
+
+
+def _load_per_hypothesis():
+    """``benchmarks/per_hypothesis.py``, loaded by path (no package)."""
+    module = sys.modules.get("per_hypothesis")
+    if module is None:
+        spec = importlib.util.spec_from_file_location(
+            "per_hypothesis",
+            pathlib.Path(__file__).with_name("per_hypothesis.py"))
+        module = importlib.util.module_from_spec(spec)
+        sys.modules["per_hypothesis"] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+score_per_hypothesis = _load_per_hypothesis().score_per_hypothesis
 
 
 def _hypotheses(n_families: int, seed: int = 0):
@@ -27,14 +49,13 @@ def _hypotheses(n_families: int, seed: int = 0):
 
 class TestRuntimeScalesWithHypotheses:
     def test_linear_in_hypothesis_count(self, benchmark):
-        executor = HypothesisExecutor(n_workers=1)
         timings = {}
         for count in (10, 40):
             hyps = _hypotheses(count)
             report = benchmark.pedantic(
-                executor.run, args=(hyps,), kwargs={"scorer": "L2"},
+                score_per_hypothesis, args=(hyps,), kwargs={"scorer": "L2"},
                 rounds=1, iterations=1) if count == 40 else \
-                executor.run(hyps, scorer="L2")
+                score_per_hypothesis(hyps, scorer="L2")
             timings[count] = report.wall_seconds / len(hyps)
         print(f"\n[§6.2] per-hypothesis seconds at 10 vs 40 families: "
               f"{timings[10]:.5f} vs {timings[40]:.5f}")
@@ -45,10 +66,10 @@ class TestRuntimeScalesWithHypotheses:
 class TestParallelSpeedup:
     def test_workers_reduce_wall_time(self, benchmark):
         hyps = _hypotheses(48, seed=3)
-        serial = HypothesisExecutor(n_workers=1).run(hyps, scorer="L2")
+        serial = score_per_hypothesis(hyps, scorer="L2")
         parallel = benchmark.pedantic(
-            HypothesisExecutor(n_workers=4).run, args=(hyps,),
-            kwargs={"scorer": "L2"}, rounds=1, iterations=1)
+            score_per_hypothesis, args=(hyps,),
+            kwargs={"scorer": "L2", "n_workers": 4}, rounds=1, iterations=1)
         print(f"\n[§6.2] wall seconds 1 worker: {serial.wall_seconds:.2f}, "
               f"4 workers: {parallel.wall_seconds:.2f}")
         # Thread-level speedup through BLAS GIL release; require headroom
@@ -64,9 +85,8 @@ class TestSerializationShare:
         hyps = _hypotheses(30, seed=4)
 
         def measure(scorer):
-            executor = HypothesisExecutor(n_workers=1,
-                                          measure_serialization=True)
-            return executor.run(hyps, scorer=scorer).accounting
+            return score_per_hypothesis(hyps, scorer=scorer,
+                                        pickle_matrices=True)
 
         cheap = benchmark.pedantic(measure, args=("CorrMax",),
                                    rounds=1, iterations=1)
@@ -97,7 +117,7 @@ class TestPcBaselineBlowup:
 
             hyps = _hypotheses(n_vars)
             start = time.perf_counter()
-            HypothesisExecutor(n_workers=1).run(hyps, scorer="CorrMax")
+            score_per_hypothesis(hyps, scorer="CorrMax")
             rank_times[n_vars] = time.perf_counter() - start
         pc_growth = pc_times[16] / max(pc_times[8], 1e-9)
         rank_growth = rank_times[16] / max(rank_times[8], 1e-9)

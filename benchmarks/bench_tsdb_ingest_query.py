@@ -17,10 +17,7 @@ per-point substrate bit for bit:
 
 Every comparison asserts byte-identical outputs — downsampled columns,
 ``ScanResult.to_matrix``, and ``tsdb_table`` contents match the
-reference exactly — with one documented exception: ragged-bucket
-sum/avg downsampling (the segmented ``reduceat`` path) is pinned at a
-1e-9 relative tolerance against the per-bucket loop, the same contract
-the parity tests enforce.
+reference exactly, ragged-bucket sum/avg downsampling included.
 
 Run directly (``python benchmarks/bench_tsdb_ingest_query.py``) for the
 ~1M-point datacenter-shaped workload, or with ``--smoke`` for the small
@@ -166,19 +163,10 @@ def bench_rows(n_points: int = 1_000_000, n_samples: int = 1440,
     result = query.run(store)
     col_scan = time.perf_counter() - start
     assert set(result.columns) == set(ref_columns)
-    # Buckets are ragged whenever ``interval`` does not divide
-    # ``n_samples`` (the smoke config), which routes sum/avg through
-    # segmented ``reduceat`` — left-to-right accumulation, documented
-    # at 1e-9 relative tolerance versus the reference's pairwise
-    # ``np.sum``.  Every other configuration stays bitwise.
-    ragged_sums = agg in ("sum", "avg") and n_samples % interval != 0
     for sid, (ts, vals) in result.columns.items():
         ref_ts, ref_vals = ref_columns[sid]
         assert np.array_equal(ts, ref_ts)
-        if ragged_sums:
-            assert np.allclose(vals, ref_vals, rtol=1e-9, atol=0.0)
-        else:
-            assert np.array_equal(vals, ref_vals)   # bitwise
+        assert np.array_equal(vals, ref_vals)   # bitwise, ragged too
     matrix_a = result.to_matrix()[0]
     matrix_b = query.run(store).to_matrix()[0]
     assert np.array_equal(matrix_a, matrix_b)
@@ -187,9 +175,7 @@ def bench_rows(n_points: int = 1_000_000, n_samples: int = 1440,
         "reference_seconds": ref_scan,
         "columnar_seconds": col_scan,
         "speedup": ref_scan / col_scan,
-        "detail": (f"{len(result)} series, "
-                   + ("identical columns (sum/avg at 1e-9 rtol)"
-                      if ragged_sums else "bitwise-identical columns")),
+        "detail": f"{len(result)} series, bitwise-identical columns",
     })
 
     start = time.perf_counter()

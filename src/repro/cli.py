@@ -4,8 +4,6 @@ Usage (after installation)::
 
     python -m repro.cli scenarios                  # list built-in scenarios
     python -m repro.cli explain 5.1 --scorer L2    # rank one case study
-    python -m repro.cli explain 5.1 --backend process --transfer shm
-                                                   # zero-copy process pool
     python -m repro.cli explain 5.3 --lags 0 1 2   # lag-augmented scoring
     python -m repro.cli table6 --scale 0.5         # the §6.1 evaluation
     python -m repro.cli replay --matrix smoke      # incident-matrix replay
@@ -22,12 +20,10 @@ import argparse
 import sys
 from typing import Callable, Sequence
 
-from repro.engine_exec.accounting import TRANSFERS
-from repro.engine_exec.executor import BACKENDS
 from repro.scoring.base import list_scorers
 from repro.workloads import scenarios as scenario_module
 
-#: Worker count used when ``--workers`` is not given.
+#: ``repro serve`` request worker pool size when ``--workers`` is not given.
 DEFAULT_WORKERS = 4
 
 SCENARIOS: dict[str, Callable] = {
@@ -79,22 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--seed", type=int, default=0)
     explain.add_argument("--condition", default=None,
                          help="family to condition on (or 'none')")
-    explain.add_argument("--backend", default=None,
-                         choices=list(BACKENDS),
-                         help="execution backend (default: in-line "
-                              "sequential; 'batch' vectorizes across "
-                              "hypotheses)")
-    explain.add_argument("--workers", type=_positive_int, default=None,
-                         help="worker count for the thread/process "
-                              f"backends (default {DEFAULT_WORKERS}; "
-                              "ignored by the others)")
-    explain.add_argument("--transfer", default=None,
-                         choices=list(TRANSFERS),
-                         help="matrix transfer for --backend process: "
-                              "'shm' ships each batch group once "
-                              "through zero-copy shared memory "
-                              "(default), 'pickle' serialises every "
-                              "hypothesis (the paper's §6.2 overhead)")
     explain.add_argument("--lags", type=_non_negative_int, nargs="+",
                          default=None, metavar="LAG",
                          help="augment X (and Z) with these lags before "
@@ -115,15 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--ks", type=_positive_int, nargs="+",
                         default=[1, 3, 5, 10], metavar="K",
                         help="precision/recall cutoffs")
-    replay.add_argument("--backend", default=None, choices=list(BACKENDS),
-                        help="execution backend for ranking (default: "
-                             "in-line sequential)")
-    replay.add_argument("--workers", type=_positive_int, default=None,
-                        help="worker count for the thread/process "
-                             f"backends (default {DEFAULT_WORKERS})")
-    replay.add_argument("--transfer", default=None,
-                        choices=list(TRANSFERS),
-                        help="matrix transfer for --backend process")
     replay.add_argument("--scale", type=_positive_int, default=1,
                         help="trace-length multiplier: N emits N x 288 "
                              "samples per series (load testing; 1 "
@@ -157,9 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
                             f"(default {DEFAULT_WORKERS})")
     serve.add_argument("--cache-entries", type=_positive_int, default=None,
                        help="result-cache bound (default 256)")
-    serve.add_argument("--backend", default=None, choices=list(BACKENDS),
-                       help="default ranking backend for \\explain "
-                            "requests")
     serve.add_argument("--rows", type=int, default=20,
                        help="rows printed per SQL result")
     return parser
@@ -182,46 +150,7 @@ def cmd_scorers(_args: argparse.Namespace) -> int:
     return 0
 
 
-def resolve_exec_args(backend: str | None,
-                      workers: int | None,
-                      transfer: str | None
-                      ) -> tuple[int, str, list[str]]:
-    """Resolve executor options, warning about ignored combinations.
-
-    The argparse layer already rejects unknown ``--backend`` /
-    ``--transfer`` values; this resolves the cross-argument cases that
-    argparse cannot express — options that are valid on their own but
-    silently unused under the selected backend — into explicit warnings
-    instead of silent no-ops.  Returns ``(n_workers, transfer,
-    warnings)``.
-    """
-    warnings: list[str] = []
-    if workers is not None:
-        if backend is None:
-            warnings.append(
-                "--workers is ignored without --backend "
-                "(the default execution is the in-line sequential loop)")
-        elif backend == "batch":
-            warnings.append(
-                "--workers is ignored by --backend batch "
-                "(the batch planner runs stacked numpy calls, not a pool)")
-        elif workers < 1:
-            raise ValueError(f"--workers must be >= 1, got {workers}")
-    if transfer is not None and backend != "process":
-        target = "--backend None" if backend is None else f"--backend {backend}"
-        warnings.append(
-            f"--transfer is only used by --backend process; "
-            f"ignored with {target}")
-    return (workers if workers is not None else DEFAULT_WORKERS,
-            transfer if transfer is not None else "shm",
-            warnings)
-
-
 def cmd_explain(args: argparse.Namespace) -> int:
-    n_workers, transfer, warnings = resolve_exec_args(
-        args.backend, args.workers, args.transfer)
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     scorer = args.scorer
     if args.lags is not None:
         from repro.scoring import LaggedScorer, get_scorer
@@ -231,9 +160,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if args.condition is not None:
         session.set_condition(None if args.condition.lower() == "none"
                               else args.condition)
-    table = session.explain(scorer=scorer, top_k=args.top,
-                            backend=args.backend, n_workers=n_workers,
-                            transfer=transfer)
+    table = session.explain(scorer=scorer, top_k=args.top)
     print(f"Scenario: {scenario.name} — {scenario.description}")
     print(f"Ground-truth causes: {sorted(scenario.causes)}")
     print()
@@ -245,15 +172,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
     from repro.evalkit.replay import format_scorecard, replay_matrix
     from repro.workloads.matrix import matrix_specs
 
-    n_workers, transfer, warnings = resolve_exec_args(
-        args.backend, args.workers, args.transfer)
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     specs = matrix_specs(args.matrix)
     card = replay_matrix(specs, scorers=tuple(args.scorers),
-                         ks=tuple(args.ks), backend=args.backend,
-                         n_workers=n_workers, transfer=transfer,
-                         matrix=args.matrix, scale=args.scale)
+                         ks=tuple(args.ks), matrix=args.matrix,
+                         scale=args.scale)
     if args.json == "-":
         print(card.to_json(indent=2))
     else:
@@ -310,8 +232,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     entries = (args.cache_entries if args.cache_entries is not None
                else DEFAULT_CACHE_ENTRIES)
     with QueryServer(scenario.store, n_workers=workers,
-                     cache_entries=entries,
-                     backend=args.backend) as server:
+                     cache_entries=entries) as server:
         print(f"serving {scenario.name} ({args.scenario}) — "
               f"{workers} workers, cache {entries} entries; "
               "SQL, \\explain TARGET [SCORER], \\stats, \\quit",

@@ -127,21 +127,8 @@ class ExplainItSession:
     def explain(self, scorer: str | Scorer = "L2-P50",
                 search: Iterable[str] | None = None,
                 exclude: Iterable[str] = (),
-                top_k: int = DEFAULT_TOP_K,
-                backend: str | None = None,
-                n_workers: int = 4,
-                transfer: str = "shm") -> ScoreTable:
-        """Run one iteration of Algorithm 1 and return the Score Table.
-
-        ``backend`` picks the execution backend ("thread", "process" or
-        "batch"); ``None`` keeps the in-line sequential loop.
-        ``transfer`` selects the process backend's matrix transfer
-        ("shm" for zero-copy shared memory, "pickle" for per-hypothesis
-        serialisation); other backends ignore it.  The ranking is
-        identical either way — "batch" shares the target/
-        condition-side work across all candidate families and is the
-        fast choice for interactive sessions.
-        """
+                top_k: int = DEFAULT_TOP_K) -> ScoreTable:
+        """Run one iteration of Algorithm 1 and return the Score Table."""
         if self._target is None:
             raise FamilyError("set_target before explain()")
         families = self._ensure_families()
@@ -149,23 +136,16 @@ class ExplainItSession:
             families, self._target, condition=self._condition,
             search=search, exclude=exclude,
         )
-        table = rank_families(hypotheses, scorer=scorer, top_k=top_k,
-                              backend=backend, n_workers=n_workers,
-                              transfer=transfer)
+        table = rank_families(hypotheses, scorer=scorer, top_k=top_k)
         self.db.register("score", table.to_table())
         self.history.append(table)
         return table
 
     def drill_down(self, families: Sequence[str],
                    scorer: str | Scorer = "L2-P50",
-                   top_k: int = DEFAULT_TOP_K,
-                   backend: str | None = None,
-                   n_workers: int = 4,
-                   transfer: str = "shm") -> ScoreTable:
+                   top_k: int = DEFAULT_TOP_K) -> ScoreTable:
         """Re-rank within a narrowed search space (the §5.4 workflow)."""
-        return self.explain(scorer=scorer, search=families, top_k=top_k,
-                            backend=backend, n_workers=n_workers,
-                            transfer=transfer)
+        return self.explain(scorer=scorer, search=families, top_k=top_k)
 
     def suggest_event_window(self, window: int = 30,
                              threshold: float = 4.0):

@@ -59,6 +59,11 @@ class FeatureFamily:
             )
         if np.isnan(self.matrix).any():
             self.matrix = interpolate_missing(self.matrix)
+        # One memory layout for every family: numpy's reductions sum in
+        # a layout-dependent order, so without this a column gather's
+        # Fortran-ordered result would score differently in the last
+        # bits from the same values in C order.
+        self.matrix = np.ascontiguousarray(self.matrix)
 
     @property
     def n_features(self) -> int:

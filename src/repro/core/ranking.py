@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.core.hypothesis import Hypothesis
+from repro.engine_exec.batch import execute_batches
 from repro.scoring.base import Scorer, get_scorer
 from repro.scoring.significance import (
     benjamini_hochberg,
@@ -32,9 +33,9 @@ def ranking_sort_key(score: float, family: str) -> tuple:
 
     Exact score ties are broken by family name so the ranking — and
     everything graded from it (evalkit metrics, replay scorecards) — is
-    deterministic and identical across execution backends.  NaN scores
-    sort after every real score; their score component is replaced by a
-    constant so NaN rows are also name-ordered rather than left in
+    deterministic and independent of the hypotheses' input order.  NaN
+    scores sort after every real score; their score component is replaced
+    by a constant so NaN rows are also name-ordered rather than left in
     comparison-dependent input order.
     """
     if math.isnan(score):
@@ -44,7 +45,14 @@ def ranking_sort_key(score: float, family: str) -> tuple:
 
 @dataclass
 class RankedFamily:
-    """One row of the Score Table."""
+    """One row of the Score Table.
+
+    ``seconds`` is this row's equal share of the stacked ``score_batch``
+    call that scored its shape group (the hypotheses sharing its Y, Z and
+    X shape): individual times inside one stacked call are not
+    observable.  Only with ``rank_families(score_fn=...)`` is it the
+    row's own measured call.
+    """
 
     rank: int
     family: str
@@ -70,7 +78,13 @@ class RankedFamily:
 
 @dataclass
 class ScoreTable:
-    """Ranked results plus run metadata; renders to text or a SQL table."""
+    """Ranked results plus run metadata; renders to text or a SQL table.
+
+    ``total_seconds`` is the measured wall time of scoring every
+    hypothesis; each row's ``seconds`` is its equal share of its shape
+    group's stacked ``score_batch`` call (see :class:`RankedFamily`), so
+    a max over rows is a per-group, not a per-family, maximum.
+    """
 
     results: list[RankedFamily]
     scorer_name: str
@@ -125,32 +139,20 @@ class ScoreTable:
 def rank_families(hypotheses: Sequence[Hypothesis],
                   scorer: Scorer | str = "L2-P50",
                   top_k: int = DEFAULT_TOP_K,
-                  score_fn: Callable[[Hypothesis], float] | None = None,
-                  backend: str | None = None,
-                  n_workers: int = 4,
-                  transfer: str = "shm") -> ScoreTable:
+                  score_fn: Callable[[Hypothesis], float] | None = None
+                  ) -> ScoreTable:
     """Score every hypothesis and produce the ranked Score Table.
 
-    ``score_fn`` overrides the scorer for callers that wrap scoring with
-    extra machinery (e.g. the parallel executor's timing instrumentation).
+    Scoring runs through the batch planner
+    (:func:`~repro.engine_exec.batch.execute_batches`): hypotheses that
+    share their (Y, Z) families are scored together, one stacked
+    ``score_batch`` call per shape group, bitwise identical to calling
+    ``scorer.score`` hypothesis by hypothesis.
 
-    ``backend`` selects an execution backend ("thread", "process" or
-    "batch") and delegates scoring to the
-    :class:`~repro.engine_exec.executor.HypothesisExecutor`; ``None``
-    (the default) keeps the in-line sequential loop.  ``transfer``
-    picks the process backend's matrix transfer ("shm" for zero-copy
-    shared memory, "pickle" for per-hypothesis serialisation) and is
-    ignored by the other backends.  Every backend and transfer mode
-    produces an identical ranking — "batch" shares Y/Z-side work across
-    hypotheses and is the fast choice for interactive sessions.
+    ``score_fn`` replaces the scorer with a per-hypothesis function
+    (fixed scores in tests, precomputed scores in benchmarks); each
+    row's ``seconds`` is then the wall time of its own call.
     """
-    if backend is not None:
-        if score_fn is not None:
-            raise ValueError("pass either score_fn or backend, not both")
-        from repro.engine_exec.executor import HypothesisExecutor
-        executor = HypothesisExecutor(n_workers=n_workers, backend=backend,
-                                      transfer=transfer)
-        return executor.run(hypotheses, scorer=scorer, top_k=top_k).score_table
     if isinstance(scorer, str):
         scorer = get_scorer(scorer)
     if not hypotheses:
@@ -160,19 +162,19 @@ def rank_families(hypotheses: Sequence[Hypothesis],
     condition = (hypotheses[0].z.name if hypotheses[0].z is not None
                  else None)
 
-    scored: list[tuple[Hypothesis, float, float]] = []
     t_start = time.perf_counter()
-    for hypothesis in hypotheses:
-        h_start = time.perf_counter()
-        if score_fn is not None:
-            value = score_fn(hypothesis)
-        else:
-            x, y, z = hypothesis.matrices()
-            value = scorer.score(x, y, z)
-        elapsed = time.perf_counter() - h_start
-        scored.append((hypothesis, float(value), elapsed))
+    if score_fn is None:
+        scores, seconds = execute_batches(hypotheses, scorer)
+    else:
+        scores, seconds = [], []
+        for hypothesis in hypotheses:
+            h_start = time.perf_counter()
+            scores.append(score_fn(hypothesis))
+            seconds.append(time.perf_counter() - h_start)
     total = time.perf_counter() - t_start
 
+    scored = [(h, float(score), float(elapsed))
+              for h, score, elapsed in zip(hypotheses, scores, seconds)]
     scored.sort(key=lambda item: ranking_sort_key(item[1], item[0].name))
     n_samples = hypotheses[0].y.n_samples
     p_values = np.array([

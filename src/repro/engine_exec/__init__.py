@@ -1,64 +1,36 @@
-"""Execution substrate: parallel and batched hypothesis scoring (§4, §6.2).
+"""Execution substrate: batched hypothesis scoring (§4).
 
 The paper's deployment runs one Spark executor per hypothesis, each
-talking to a local Python scikit kernel over gRPC.  The reproduction
-keeps the same architecture shape — the *unit of parallelism is the
-hypothesis* — behind a ``backend=`` switch:
+talking to a local Python scikit kernel over gRPC, and §6.2 measures
+the cost of serialising matrices to those workers.  The engine here
+has one scoring path instead, :mod:`repro.engine_exec.batch`:
 
-- :class:`~repro.engine_exec.executor.HypothesisExecutor` — schedules
-  hypotheses across workers, records per-hypothesis wall time.
-  ``backend="thread"`` (default) uses a thread pool (numpy releases the
-  GIL inside the SVD/BLAS kernels that dominate scoring of large
-  matrices); ``backend="process"`` uses a process pool whose matrix
-  transfer is selected by ``transfer=`` — ``"shm"`` (default) for
-  zero-copy shared-memory segments, ``"pickle"`` for the faithful §6.2
-  per-hypothesis serialisation; ``backend="batch"`` dispatches to the
-  vectorized group planner below.
-- :mod:`repro.engine_exec.batch` — the batched execution subsystem:
-  :func:`~repro.engine_exec.batch.plan_batches` groups hypotheses by
-  their shared (Y, Z) matrices and
-  :func:`~repro.engine_exec.batch.execute_batches` scores each group in
+- :func:`~repro.engine_exec.batch.plan_batches` groups hypotheses by
+  their shared (Y, Z) family objects;
+- :func:`~repro.engine_exec.batch.execute_batches` scores each group in
   stacked numpy operations through the
-  :class:`~repro.scoring.base.BatchScorer` protocol, falling back to the
-  per-hypothesis loop for scorers without a vectorized path.  Scores are
-  bitwise identical to the sequential path.
-- :mod:`repro.engine_exec.shm` — the zero-copy transfer tier:
-  :class:`~repro.engine_exec.shm.SharedMatrixPool` places each batch
-  group's (Y, Z, stacked X) matrices into one
-  ``multiprocessing.shared_memory`` segment; workers attach by name and
-  score read-only views without copying.
-- :class:`~repro.engine_exec.accounting.SerializationAccounting` —
-  measures the matrix transfer share of scoring time under each
-  ``transfer`` mode, the §6.2 instrumentation that found ~25% overhead
-  for univariate scorers and ~5% for joint scorers.
-- Broadcast-join hypothesis construction lives in
-  :func:`repro.core.hypothesis.generate_hypotheses`: Y and Z are built
-  once and shared (not copied) across every X hypothesis — which is
-  exactly the structure ``plan_batches`` recovers by identity grouping.
+  :class:`~repro.scoring.base.BatchScorer` protocol, adapting scorers
+  without a vectorized path through the per-hypothesis loop.  Scores
+  are bitwise identical to scoring hypothesis by hypothesis.
+
+:func:`~repro.core.ranking.rank_families` ranks every hypothesis list
+through it.  Broadcast-join hypothesis construction lives in
+:func:`repro.core.hypothesis.generate_hypotheses`: Y and Z are built
+once and shared (not copied) across every X hypothesis — exactly the
+structure ``plan_batches`` recovers by identity grouping.  The paper's
+per-hypothesis scheduling (thread pool, pickled matrices) is kept only
+as a benchmark-local reproduction of Figure 10 and §6.2
+(``benchmarks/per_hypothesis.py``).
 """
 
-from repro.engine_exec.accounting import TRANSFERS, SerializationAccounting
 from repro.engine_exec.batch import (
     HypothesisBatch,
     execute_batches,
     plan_batches,
 )
-from repro.engine_exec.executor import (
-    BACKENDS,
-    ExecutionReport,
-    HypothesisExecutor,
-)
-from repro.engine_exec.shm import MatrixRef, SharedMatrixPool
 
 __all__ = [
-    "BACKENDS",
-    "TRANSFERS",
-    "HypothesisExecutor",
-    "ExecutionReport",
-    "SerializationAccounting",
     "HypothesisBatch",
     "plan_batches",
     "execute_batches",
-    "MatrixRef",
-    "SharedMatrixPool",
 ]

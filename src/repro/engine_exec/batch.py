@@ -1,12 +1,10 @@
 """Batched execution planner: group hypotheses, score groups vectorized.
 
-The sequential executor scores one hypothesis per Python-level call,
-rebuilding Y/Z-side work (validation, standardisation, the residual
-projection on Z, cross-validation fold statistics) for every candidate
-X.  But Algorithm 1 scores *thousands* of hypotheses against the same
-target in one interactive iteration — the work is almost entirely
-shared.  This module is the planning layer of the ``backend="batch"``
-execution path:
+Algorithm 1 scores *thousands* of hypotheses against the same target in
+one interactive iteration, so the Y/Z-side work — validation,
+standardisation, the residual projection on Z, cross-validation fold
+statistics — is almost entirely shared.  This module is the engine's
+one scoring path (:func:`~repro.core.ranking.rank_families` calls it):
 
 1. :func:`plan_batches` groups hypotheses by their shared ``(Y, Z)``
    family objects (``generate_hypotheses`` builds Y and Z once and
@@ -18,21 +16,15 @@ execution path:
    :class:`~repro.scoring.base.BatchScorer` protocol (L1 shares its
    Y/Z-side work even though coordinate descent can't stack the X
    fits); custom scorers without one are adapted through the
-   definitional per-hypothesis loop, so this module has a single
-   execution path.
+   definitional per-hypothesis loop.
 
-Scores are bitwise identical to the sequential path by the
-``BatchScorer`` contract, so the resulting Score Table matches the
-``thread``/``process`` backends exactly (ranks, scores, p-values).
-Per-hypothesis wall times are not individually observable inside a
-stacked call, but the stacked call itself decomposes: batch scorers
-stack same-shaped X matrices, so :func:`execute_batches` issues one
-``score_batch`` call *per shape group* and measures each call's wall
-time individually.  Only within one shape group is the elapsed time
-attributed as an equal share, and the returned ``attributed`` flags
-mark exactly those shared rows so aggregate consumers (Figure 10's
-max-per-family, the bench harness) can distinguish measured from
-attributed times.  Splitting by shape cannot change any score: the
+Scores are bitwise identical to calling ``scorer.score`` hypothesis by
+hypothesis, by the ``BatchScorer`` contract.  Per-hypothesis wall times
+are not observable inside a stacked call, but the stacked call itself
+decomposes: batch scorers stack same-shaped X matrices, so
+:func:`execute_batches` issues one ``score_batch`` call *per shape
+group*, measures each call, and gives every member of the group an
+equal share of it.  Splitting by shape cannot change any score: the
 ``BatchScorer`` contract makes ``score_batch`` independent of batch
 composition.
 """
@@ -41,14 +33,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.families import FeatureFamily
-from repro.core.hypothesis import Hypothesis
-from repro.engine_exec.accounting import SerializationAccounting
 from repro.scoring.base import Scorer, as_batch_scorer, group_by_shape
+
+if TYPE_CHECKING:
+    from repro.core.families import FeatureFamily
+    from repro.core.hypothesis import Hypothesis
 
 #: Stands in for ``z=None`` in grouping keys.  A dedicated module-level
 #: object (always alive, so its id() can never be recycled) rather than
@@ -105,46 +98,31 @@ def plan_batches(hypotheses: Sequence[Hypothesis]) -> list[HypothesisBatch]:
     return list(groups.values())
 
 
-def execute_batches(hypotheses: Sequence[Hypothesis], scorer: Scorer,
-                    accounting: SerializationAccounting | None = None
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def execute_batches(hypotheses: Sequence[Hypothesis], scorer: Scorer
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Score all hypotheses group-wise.
 
-    Returns ``(scores, seconds, attributed)`` arrays aligned with the
-    input order; ``attributed[i]`` is True when ``seconds[i]`` is an
-    equal share of a stacked call's elapsed time rather than an
-    individually measured wall time.  Scorers are invoked once per
-    *shape group* (the unit batch scorers stack internally), so the
-    elapsed time of each stacked call is measured per group and only
-    the within-group split is attributed; scorers without a native
-    ``score_batch`` are adapted (:func:`~repro.scoring.base.
-    as_batch_scorer`) and follow the same accounting.  ``accounting``
-    performs the same per-hypothesis serialisation round-trip as the
-    sequential path (restored arrays are bitwise equal, so scores are
-    unaffected).
+    Returns ``(scores, seconds)`` arrays aligned with the input order.
+    The scorer is invoked once per *shape group* (the unit batch scorers
+    stack internally); ``seconds[i]`` is hypothesis ``i``'s equal share
+    of its group's measured ``score_batch`` call.  Scorers without a
+    native ``score_batch`` are adapted
+    (:func:`~repro.scoring.base.as_batch_scorer`) and timed the same way.
     """
     n = len(hypotheses)
     scores = np.empty(n)
     seconds = np.empty(n)
-    attributed = np.zeros(n, dtype=bool)
     batch_scorer = as_batch_scorer(scorer)
     for batch in plan_batches(hypotheses):
         y = batch.y.matrix
         z = batch.z.matrix if batch.z is not None else None
         xs = [h.x.matrix for h in batch.hypotheses]
-        if accounting is not None:
-            xs = [accounting.round_trip(x, y, z)[0] for x in xs]
         for members in group_by_shape(xs).values():
-            group_xs = [xs[j] for j in members]
             start = time.perf_counter()
-            values = batch_scorer.score_batch(group_xs, y, z)
-            elapsed = time.perf_counter() - start
-            if accounting is not None:
-                accounting.record_score_time(elapsed)
-            share = elapsed / len(members)
+            values = batch_scorer.score_batch([xs[j] for j in members], y, z)
+            share = (time.perf_counter() - start) / len(members)
             for j, value in zip(members, values):
                 i = batch.indices[j]
                 scores[i] = float(value)
                 seconds[i] = share
-                attributed[i] = len(members) > 1
-    return scores, seconds, attributed
+    return scores, seconds

@@ -38,6 +38,8 @@ class ScenarioOutcome:
     first_cause_rank: int | None
     success: dict[int, bool]
     seconds_total: float
+    # Score Table row times: equal shares of each shape group's stacked
+    # score_batch call (see repro.core.ranking.RankedFamily).
     seconds_per_family: list[float] = field(default_factory=list)
 
 
@@ -146,7 +148,13 @@ def format_table6(result: EvaluationResult) -> str:
 
 
 def timing_summary(result: EvaluationResult) -> dict[str, dict[str, float]]:
-    """Figure 10 data: mean and max score time per feature family."""
+    """Figure 10 data: mean and max score time per feature family.
+
+    The max is a true per-family maximum only when ``seconds_per_family``
+    holds individually measured calls; ``evaluate_scorers`` records the
+    batch planner's equal shares, so Figure 10 itself is fed from the
+    per-hypothesis loop (``benchmarks/bench_figure10_score_time.py``).
+    """
     out: dict[str, dict[str, float]] = {}
     for scorer in result.scorers:
         rows = result.by_scorer(scorer)

@@ -1,6 +1,6 @@
 """Batched linear-model kernels for vectorized hypothesis scoring.
 
-The batched execution backend (:mod:`repro.engine_exec.batch`) groups
+The batch planner (:mod:`repro.engine_exec.batch`) groups
 hypotheses that share the same (Y, Z) matrices and scores each group in
 stacked ``numpy`` operations instead of one Python-level call per
 hypothesis.  The kernels here are the building blocks:
@@ -30,7 +30,7 @@ kernel over the leading axes, so each slice sees exactly the operand
 shapes and strides of the 2-D call; elementwise ops and axis reductions
 likewise preserve per-slice evaluation order.  The few places where a
 stacked op could take a different BLAS path (the ``(F,) @ (F, ny)``
-intercept GEMV) fall back to a tiny per-slice Python loop.  The backend
+intercept GEMV) fall back to a tiny per-slice Python loop.  The batch
 parity tests assert exact float equality against the sequential path.
 """
 
@@ -130,8 +130,11 @@ def batched_cross_val_r2(x_stack: np.ndarray, y: np.ndarray,
     rss = {float(a): np.zeros(n_stack) for a in alphas}
     tss = 0.0
     for train_idx, valid_idx in splitter.split(n_samples):
-        x_train = x_stack[:, train_idx, :]
-        x_valid = x_stack[:, valid_idx, :]
+        # Gathering along the middle axis yields a T-major layout; copy
+        # to C order so every slice reduces in the order its 2-D
+        # counterpart ``x[train_idx]`` does (it matters when F == 1).
+        x_train = np.ascontiguousarray(x_stack[:, train_idx, :])
+        x_valid = np.ascontiguousarray(x_stack[:, valid_idx, :])
         y_valid = y[valid_idx]
         train_mean = y[train_idx].mean(axis=0)
         yc = y[train_idx] - train_mean

@@ -9,10 +9,10 @@ Scorers that can amortise work across many hypotheses sharing the same
 ``(Y, Z)`` pair additionally implement the :class:`BatchScorer` protocol:
 ``score_batch(xs, y, z)`` scores a whole list of candidate ``X`` matrices
 in stacked ``numpy`` operations and must return exactly the scores the
-sequential ``score`` calls would (the batched execution backend relies on
-this for bitwise-identical Score Tables).  Scorers without a vectorized
-path simply don't implement the protocol; the backend falls back to the
-per-hypothesis loop for them.
+sequential ``score`` calls would (the batch planner,
+:mod:`repro.engine_exec.batch`, relies on this for bitwise-identical
+Score Tables).  Scorers without a vectorized path simply don't implement
+the protocol; the planner adapts them through the per-hypothesis loop.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class _SequentialBatchAdapter(BatchScorer):
 
     ``score_batch`` is the definitional per-hypothesis loop, so the
     bitwise-identity contract holds trivially.  This exists so the batch
-    execution backend has exactly one code path: every scorer — built-in
+    planner has exactly one code path: every scorer — built-in
     or custom — is driven through ``score_batch``.
     """
 

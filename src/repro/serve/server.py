@@ -15,16 +15,12 @@ arrive.  ``QueryServer`` is the long-lived front end for that workload:
   so materialised tables, scan caches and planner statistics amortise
   across every request at that version instead of being rebuilt
   per query;
-- for ``backend="process"`` rankings the state publishes each batch
-  group's Y/Z/X matrices **once per version** through the existing
-  :class:`~repro.engine_exec.shm.SharedMatrixPool`
-  (:func:`~repro.engine_exec.executor.share_shm_jobs`); repeat explain
-  requests replay the same zero-copy handles into a long-lived process
-  pool instead of pickling matrices per request;
+- rankings run through :func:`~repro.core.ranking.rank_families` (the
+  batch planner) on the request's worker thread;
 - a bounded **result cache** (:class:`~repro.serve.cache.ResultCache`)
-  keyed on ``(normalized query, store.version, backend/transfer knobs)``
-  returns the identical result object for repeat requests, and is swept
-  whenever ingest bumps the version — a result computed at version
+  keyed on ``(normalized query, store.version)`` returns the identical
+  result object for repeat requests, and is swept whenever ingest
+  bumps the version — a result computed at version
   ``v`` is never served to a request that observed a later version.
 
 Results must be treated as read-only: cache hits share one
@@ -41,20 +37,13 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.core.families import FamilySet, families_from_store
 from repro.core.hypothesis import generate_hypotheses
 from repro.core.ranking import DEFAULT_TOP_K, ScoreTable, rank_families
-from repro.engine_exec.executor import (
-    BACKENDS,
-    HypothesisExecutor,
-    ShmJob,
-    share_shm_jobs,
-)
-from repro.engine_exec.shm import SharedMatrixPool, detach_segments
 from repro.serve.cache import (
     DEFAULT_CACHE_ENTRIES,
     ResultCache,
@@ -105,86 +94,14 @@ class _VersionState:
         register_store(self.db, snapshot)
         self._group_by = group_by
         self._families: FamilySet | None = None
-        self._shm_pool: SharedMatrixPool | None = None
-        self._shm_jobs: dict[Hashable, list[ShmJob]] = {}
         self._lock = threading.Lock()
-        self._inflight = 0
-        self._retired = False
-        self._closed = False
 
-    # -- request lifetime ----------------------------------------------
-    def acquire(self) -> None:
-        with self._lock:
-            self._inflight += 1
-
-    def release(self) -> None:
-        close_now = False
-        with self._lock:
-            self._inflight -= 1
-            close_now = self._retired and self._inflight == 0 \
-                and not self._closed
-            if close_now:
-                self._closed = True
-        if close_now:
-            self._close_shm()
-
-    def retire(self) -> list[str]:
-        """Mark superseded; close shm immediately when idle.
-
-        Returns the segment names that retired (for a best-effort
-        worker-side detach sweep); an empty list when requests are still
-        in flight — the last one out closes the segments instead.
-        """
-        names: list[str] = []
-        close_now = False
-        with self._lock:
-            self._retired = True
-            close_now = self._inflight == 0 and not self._closed
-            if close_now:
-                self._closed = True
-                if self._shm_pool is not None:
-                    names = self._shm_pool.segment_names
-        if close_now:
-            self._close_shm()
-        return names
-
-    def _close_shm(self) -> None:
-        if self._shm_pool is not None:
-            self._shm_pool.close()
-
-    # -- amortised per-version artifacts -------------------------------
     def families(self) -> FamilySet:
         with self._lock:
             if self._families is None:
                 self._families = families_from_store(
                     self.snapshot, group_by=self._group_by)
             return self._families
-
-    def shm_jobs(self, key: Hashable, hypotheses: Sequence) -> list[ShmJob]:
-        """Jobs for a hypothesis set, publishing matrices at most once.
-
-        The first request of a given explain shape copies the batch
-        groups' Y/Z/X matrices into shared memory; every later request
-        at this version replays the same refs.  Returns a fresh list is
-        not needed — jobs are immutable tuples.
-        """
-        with self._lock:
-            if self._closed:
-                raise RuntimeError(
-                    f"version state {self.version} already retired")
-            jobs = self._shm_jobs.get(key)
-            if jobs is None:
-                if self._shm_pool is None:
-                    self._shm_pool = SharedMatrixPool()
-                jobs = share_shm_jobs(hypotheses, self._shm_pool)
-                self._shm_jobs[key] = jobs
-            return jobs
-
-    @property
-    def shm_segments(self) -> int:
-        with self._lock:
-            pool = self._shm_pool
-            return pool.n_segments if pool is not None else 0
 
 
 class QueryServer:
@@ -201,18 +118,13 @@ class QueryServer:
     cache_entries:
         Bound of the version-keyed result cache.
     keep_versions:
-        How many recent version states stay warm.  Older states retire
-        (their shared-memory segments are unlinked once idle); their
-        cached results were already swept by the version bump.
+        How many recent version states stay warm.  Older states are
+        dropped (a request still running against one keeps its own
+        reference); their cached results were already swept by the
+        version bump.
     group_by:
         Family grouping for ``explain``/``drill_down`` (as in
         :class:`~repro.core.engine.ExplainItSession`).
-    backend / rank_workers / transfer:
-        Default execution knobs for ranking requests; per-request
-        overrides are accepted by :meth:`explain` / :meth:`drill_down`.
-        ``backend="process"`` with ``transfer="shm"`` engages the
-        per-version shared-memory publication and a long-lived process
-        pool of ``rank_workers`` workers.
     columnar:
         Forwarded to each per-version :class:`~repro.sql.Database`.
     """
@@ -221,29 +133,19 @@ class QueryServer:
                  cache_entries: int = DEFAULT_CACHE_ENTRIES,
                  keep_versions: int = 2,
                  group_by: str = "name",
-                 backend: str | None = None,
-                 rank_workers: int = 4,
-                 transfer: str = "shm",
                  columnar: bool = True) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         if keep_versions < 1:
             raise ValueError(
                 f"keep_versions must be >= 1, got {keep_versions}")
-        if backend is not None and backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be None or one of {BACKENDS}, got {backend!r}")
         self._store = store
         self._group_by = group_by
         self._columnar = columnar
-        self._default_backend = backend
-        self._rank_workers = rank_workers
-        self._default_transfer = transfer
         self._keep_versions = keep_versions
         self._cache = ResultCache(cache_entries)
         self._pool = ThreadPoolExecutor(
             max_workers=n_workers, thread_name_prefix="repro-serve")
-        self._procs: ProcessPoolExecutor | None = None
         self._states: dict[Any, _VersionState] = {}
         self._state_lock = threading.Lock()
         self._closed = False
@@ -265,7 +167,7 @@ class QueryServer:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Drain the pools and release every per-version resource."""
+        """Drain the worker pool and drop every per-version state."""
         if self._closed:
             return
         self._closed = True
@@ -273,12 +175,7 @@ class QueryServer:
             self._unsubscribe()
         self._pool.shutdown(wait=True)
         with self._state_lock:
-            states = list(self._states.values())
             self._states.clear()
-        for state in states:
-            state.retire()
-        if self._procs is not None:
-            self._procs.shutdown(wait=True)
         self._cache.clear()
 
     def __enter__(self) -> "QueryServer":
@@ -308,41 +205,31 @@ class QueryServer:
                 condition: Any = None,
                 search: Iterable[str] | None = None,
                 exclude: Iterable[str] = (),
-                top_k: int = DEFAULT_TOP_K,
-                backend: str | None = None,
-                transfer: str | None = None) -> ScoreTable:
+                top_k: int = DEFAULT_TOP_K) -> ScoreTable:
         """Rank candidate causes for ``target`` (Algorithm 1, served)."""
         return self.submit_explain(
             target, scorer=scorer, condition=condition, search=search,
-            exclude=exclude, top_k=top_k, backend=backend,
-            transfer=transfer).result().value
+            exclude=exclude, top_k=top_k).result().value
 
     def submit_explain(self, target: str, scorer: Any = "L2-P50",
                        condition: Any = None,
                        search: Iterable[str] | None = None,
                        exclude: Iterable[str] = (),
                        top_k: int = DEFAULT_TOP_K,
-                       backend: str | None = None,
-                       transfer: str | None = None,
                        kind: str = "explain") -> "Future[ServedResult]":
         self._check_open()
         started = time.perf_counter()
         return self._pool.submit(
             self._run_explain, kind, target, scorer, condition,
             None if search is None else tuple(search), tuple(exclude),
-            top_k,
-            self._default_backend if backend is None else backend,
-            self._default_transfer if transfer is None else transfer,
-            started)
+            top_k, started)
 
     def drill_down(self, target: str, families: Sequence[str],
-                   scorer: Any = "L2-P50", top_k: int = DEFAULT_TOP_K,
-                   backend: str | None = None,
-                   transfer: str | None = None) -> ScoreTable:
+                   scorer: Any = "L2-P50",
+                   top_k: int = DEFAULT_TOP_K) -> ScoreTable:
         """Re-rank within a narrowed search space (the §5.4 workflow)."""
         return self.submit_explain(
             target, scorer=scorer, search=families, top_k=top_k,
-            backend=backend, transfer=transfer,
             kind="drill_down").result().value
 
     # ------------------------------------------------------------------
@@ -352,13 +239,11 @@ class QueryServer:
         """Serving counters: requests, cache behaviour, warm state."""
         with self._state_lock:
             versions = sorted(self._states)
-            segments = sum(s.shm_segments for s in self._states.values())
         return {
             "requests": dict(self._requests),
             "cache": self._cache.stats.as_dict(),
             "store_version": self._store.version,
             "warm_versions": versions,
-            "shm_segments": segments,
             "uptime_seconds": time.monotonic() - self._started,
         }
 
@@ -386,116 +271,50 @@ class QueryServer:
                 # Lazy sweep for stores without a version-bump hook (the
                 # hooked path already swept when ingest bumped).
                 self._cache.evict_superseded(version)
-                retired_names = self._retire_old_locked(version)
-            else:
-                retired_names = []
-            state.acquire()
-        if retired_names:
-            self._broadcast_detach(retired_names)
+                self._drop_old_locked(version)
         return state
 
-    def _retire_old_locked(self, current: Any) -> list[str]:
-        """Retire all but the newest ``keep_versions`` states."""
+    def _drop_old_locked(self, current: Any) -> None:
+        """Keep only the newest ``keep_versions`` states (and ``current``)."""
         versions = sorted(self._states)
-        names: list[str] = []
         while len(versions) > self._keep_versions:
             oldest = versions.pop(0)
-            if oldest == current:
-                continue
-            names.extend(self._states.pop(oldest).retire())
-        return names
-
-    def _broadcast_detach(self, names: list[str]) -> None:
-        """Best-effort: ask pool workers to unmap retired segments."""
-        if self._procs is None:
-            return
-        for _ in range(self._rank_workers):
-            try:
-                self._procs.submit(detach_segments, names)
-            except RuntimeError:        # pool already shut down
-                return
-
-    def _process_pool(self) -> ProcessPoolExecutor:
-        with self._state_lock:
-            if self._procs is None:
-                self._procs = ProcessPoolExecutor(
-                    max_workers=self._rank_workers)
-            return self._procs
+            if oldest != current:
+                del self._states[oldest]
 
     # -- request bodies (run on the worker pool) ------------------------
     def _run_sql(self, query: str, started: float) -> ServedResult:
         self._requests["sql"] += 1
         key = ("sql", normalize_query(query), self._columnar)
         state = self._pin()
-        try:
-            hit = self._cache.get(key, state.version)
-            if hit is not None:
-                return ServedResult(
-                    kind="sql", value=hit, version=state.version,
-                    cached=True, seconds=time.perf_counter() - started,
-                    snapshot=state.snapshot)
+        table = self._cache.get(key, state.version)
+        cached = table is not None
+        if not cached:
             table = state.db.sql(query)
             self._cache.put(key, state.version, table)
-            return ServedResult(
-                kind="sql", value=table, version=state.version,
-                cached=False, seconds=time.perf_counter() - started,
-                snapshot=state.snapshot)
-        finally:
-            state.release()
+        return ServedResult(
+            kind="sql", value=table, version=state.version, cached=cached,
+            seconds=time.perf_counter() - started, snapshot=state.snapshot)
 
     def _run_explain(self, kind: str, target: str, scorer: Any,
                      condition: Any, search: tuple | None, exclude: tuple,
-                     top_k: int, backend: str | None, transfer: str,
-                     started: float) -> ServedResult:
+                     top_k: int, started: float) -> ServedResult:
         self._requests[kind] += 1
         # Only plain-data request shapes are cacheable; a caller passing
         # a live Scorer or FeatureFamily object gets a fresh run.
         cacheable = isinstance(scorer, str) \
             and (condition is None or isinstance(condition, str))
-        key = ("explain", target, scorer, condition, search, exclude,
-               top_k, backend, transfer if backend == "process" else None)
+        key = ("explain", target, scorer, condition, search, exclude, top_k)
         state = self._pin()
-        try:
-            if cacheable:
-                hit = self._cache.get(key, state.version)
-                if hit is not None:
-                    return ServedResult(
-                        kind=kind, value=hit, version=state.version,
-                        cached=True, seconds=time.perf_counter() - started,
-                        snapshot=state.snapshot)
-            table = self._rank(state, target, scorer, condition, search,
-                               exclude, top_k, backend, transfer,
-                               shareable=cacheable)
+        table = self._cache.get(key, state.version) if cacheable else None
+        cached = table is not None
+        if not cached:
+            hypotheses = generate_hypotheses(
+                state.families(), target, condition=condition,
+                search=search, exclude=exclude)
+            table = rank_families(hypotheses, scorer=scorer, top_k=top_k)
             if cacheable:
                 self._cache.put(key, state.version, table)
-            return ServedResult(
-                kind=kind, value=table, version=state.version,
-                cached=False, seconds=time.perf_counter() - started,
-                snapshot=state.snapshot)
-        finally:
-            state.release()
-
-    def _rank(self, state: _VersionState, target: str, scorer: Any,
-              condition: Any, search: tuple | None, exclude: tuple,
-              top_k: int, backend: str | None, transfer: str,
-              shareable: bool) -> ScoreTable:
-        families = state.families()
-        hypotheses = generate_hypotheses(
-            families, target, condition=condition, search=search,
-            exclude=exclude)
-        use_shared = (backend == "process" and transfer == "shm"
-                      and shareable and self._rank_workers > 1
-                      and len(hypotheses) > 1)
-        if use_shared:
-            jobs = state.shm_jobs(
-                (target, condition, search, exclude), hypotheses)
-            executor = HypothesisExecutor(
-                n_workers=self._rank_workers, backend="process",
-                transfer="shm")
-            report = executor.run(hypotheses, scorer=scorer, top_k=top_k,
-                                  shm_jobs=jobs,
-                                  process_pool=self._process_pool())
-            return report.score_table
-        return rank_families(hypotheses, scorer=scorer, top_k=top_k,
-                             backend=backend, n_workers=self._rank_workers,
-                             transfer=transfer)
+        return ServedResult(
+            kind=kind, value=table, version=state.version, cached=cached,
+            seconds=time.perf_counter() - started, snapshot=state.snapshot)

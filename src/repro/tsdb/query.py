@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.tsdb.model import SeriesFormatError, SeriesId
 from repro.tsdb.storage import TimeSeriesStore
@@ -84,16 +85,16 @@ class Downsampler:
         ``(buckets, width)`` matrix and reduced along axis 1.  Ragged
         (gappy) buckets use a segmented ``reduceat``: for ``min``/``max``
         it applies the same sequential ufunc reduction ``np.min`` applies
-        per slice, so the result is exact, and ``sum``/``avg`` reduce
-        each bucket strictly left-to-right (see the tolerance note
-        inline).  The order-statistic aggregates (``median``, ``p95``,
+        per slice, so the result is exact; ``sum``/``avg`` group the
+        buckets by size and reduce each group as a ``(buckets, size)``
+        matrix, so every bucket is summed in the order a per-bucket
+        ``np.sum`` uses.  The order-statistic aggregates (``median``, ``p95``,
         ``p99``) over ragged buckets go through sorted-segment indexing
         (:func:`_segmented_order_stat`): one ``lexsort`` over
         ``(bucket, value)`` replaces the per-bucket
         ``np.median``/``np.percentile`` calls, replicating numpy's
-        index arithmetic exactly.  Equal-width buckets, the segmented
-        min/max/count paths, and the segmented order statistics are all
-        bitwise identical to the per-point reference loop.
+        index arithmetic exactly.  Every path is bitwise identical to
+        the per-point reference loop.
         """
         if timestamps.size == 0:
             return timestamps.copy(), values.copy()
@@ -123,19 +124,21 @@ class Downsampler:
             return out_ts, np.asarray(ufunc.reduceat(values, starts),
                                       dtype=np.float64)
         if agg in ("sum", "avg"):
-            # Segmented sums over ragged buckets.  ``np.add.reduceat``
-            # accumulates each bucket strictly left-to-right, whereas
-            # the per-bucket ``np.sum`` of the reference loop uses
-            # pairwise summation, so low-order bits can differ once a
-            # bucket is large enough for the pairwise tree to split
-            # (the recursive-summation bound, ~n·eps relative error per
-            # bucket).  Callers needing bitwise equality with the loop
-            # get it on the equal-width path above; the parity tests
-            # pin this path to a 1e-9 relative tolerance.
-            sums = np.add.reduceat(values, starts)
-            if agg == "avg":
-                sums = sums / sizes
-            return out_ts, np.asarray(sums, dtype=np.float64)
+            # Size-grouped sums over ragged buckets.  A segmented
+            # ``np.add.reduceat`` would add each bucket left-to-right,
+            # while the reference loop's per-bucket ``np.sum`` is
+            # pairwise, so a cancelling bucket could come out as 1e-16
+            # instead of 0.  Gathering the buckets of one size into a
+            # matrix and reducing its rows applies the reference's exact
+            # reduction order; the sizes are distinct positive integers
+            # summing to at most ``values.size``, so the loop runs at
+            # most ~sqrt(2n) times.
+            out_vals = np.empty(starts.size, dtype=np.float64)
+            for width in np.flatnonzero(np.bincount(sizes)):
+                rows = np.flatnonzero(sizes == width)
+                matrix = sliding_window_view(values, width)[starts[rows]]
+                out_vals[rows] = self._row_fn(matrix)
+            return out_ts, out_vals
         if agg == "median" or agg in _PERCENTILE_Q:
             return out_ts, _segmented_order_stat(
                 np.asarray(values, dtype=np.float64), starts, sizes, agg)

@@ -361,7 +361,8 @@ class ShardedTimeSeriesStore:
         limit and :meth:`open` replays every record ever ingested.  A
         checkpoint writes the current contents as a binary chunkfile
         snapshot (crash-safe: written to a temp file, fsync'd, then
-        atomically renamed over ``path``) and *then* truncates the WAL
+        atomically renamed over ``path`` and the rename made durable by
+        fsyncing the directory) and *then* truncates the WAL
         back to its header — so at every instant, snapshot + WAL
         together contain the full store.  Recovery is
         ``open(wal_path, snapshot=path)``.
@@ -383,6 +384,14 @@ class ShardedTimeSeriesStore:
             with tmp.open("rb") as handle:
                 os.fsync(handle.fileno())
             os.replace(tmp, path)
+            # The rename is durable only once the directory entry is:
+            # without this fsync a crash could keep the truncated log
+            # below and lose the rename, i.e. lose both copies.
+            dir_fd = os.open(path.parent, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
             if self._wal is not None:
                 self._wal.truncate()
             return n_bytes

@@ -11,7 +11,6 @@ name-ordered among themselves.
 import math
 
 import numpy as np
-import pytest
 
 from repro.core.families import FamilySet, FeatureFamily
 from repro.core.hypothesis import generate_hypotheses
@@ -72,17 +71,16 @@ class TestTiedScores:
             rankings.append([r.family for r in table.results])
         assert rankings[0] == rankings[1] == rankings[2] == sorted(TIED_NAMES)
 
-    @pytest.mark.parametrize("backend,transfer", [
-        ("thread", "shm"),
-        ("process", "shm"),
-        ("process", "pickle"),
-        ("batch", "shm"),
-    ])
-    def test_tie_break_identical_across_backends(self, backend, transfer):
+    def test_tie_break_identical_to_definitional_loop(self):
+        """The batch planner and a per-hypothesis loop break ties alike."""
+        from repro.scoring import get_scorer
         hyps = generate_hypotheses(tied_families(), "target")
-        table = rank_families(hyps, scorer="L2", backend=backend,
-                              n_workers=2, transfer=transfer)
-        assert [r.family for r in table.results] == sorted(TIED_NAMES)
+        scorer = get_scorer("L2")
+        loop = rank_families(hyps, scorer=scorer,
+                             score_fn=lambda h: scorer.score(*h.matrices()))
+        batch = rank_families(hyps, scorer=scorer)
+        assert [r.family for r in loop.results] == sorted(TIED_NAMES)
+        assert [r.family for r in batch.results] == sorted(TIED_NAMES)
 
 
 class TestNanScores:

@@ -7,7 +7,8 @@ import pytest
 
 from repro.core.families import FamilySet, FeatureFamily
 from repro.core.hypothesis import generate_hypotheses
-from repro.engine_exec import HypothesisExecutor, execute_batches, plan_batches
+from repro.core.ranking import rank_families
+from repro.engine_exec import execute_batches, plan_batches
 from repro.scoring import get_scorer
 
 
@@ -119,7 +120,7 @@ class TestPlanBatches:
             for h in batch.hypotheses:
                 assert np.array_equal(batch.y.matrix, h.y.matrix)
         scorer = get_scorer("CorrMax")
-        scores, _, _ = execute_batches(hypotheses, scorer)
+        scores, _ = execute_batches(hypotheses, scorer)
         expected = np.array([scorer.score(*h.matrices()) for h in hypotheses])
         assert np.array_equal(scores, expected)
 
@@ -137,12 +138,13 @@ def _mixed_shape_families(rng, widths=(2, 2, 2, 3), n_samples=40):
 
 
 class TestAttributedTimings:
+    """Row times are equal shares of one measured call per shape group."""
+
     def test_batch_scorer_timings_flagged_as_attributed(self, rng):
         hypotheses = generate_hypotheses(_families(rng), "target")
-        scores, seconds, attributed = execute_batches(hypotheses,
-                                                      get_scorer("L2"))
-        assert attributed.all()
-        # Equal shares within one group.
+        scores, seconds = execute_batches(hypotheses, get_scorer("L2"))
+        # One shape group: every row holds the same equal share.
+        assert seconds[0] > 0.0
         assert np.all(seconds == seconds[0])
 
     def test_shape_groups_timed_individually(self, rng):
@@ -152,14 +154,21 @@ class TestAttributedTimings:
             _mixed_shape_families(rng), "target")
         widths = [h.x.matrix.shape[1] for h in hypotheses]
         scorer = get_scorer("L2")
-        scores, seconds, attributed = execute_batches(hypotheses, scorer)
+        calls = []
+        real = scorer.score_batch
+
+        def spy(xs, y, z=None):
+            calls.append(len(xs))
+            return real(xs, y, z)
+
+        scorer.score_batch = spy
+        scores, seconds = execute_batches(hypotheses, scorer)
         wide = [i for i, w in enumerate(widths) if w == 3]
         narrow = [i for i, w in enumerate(widths) if w == 2]
         assert len(wide) == 1 and len(narrow) == 3
-        # The singleton shape group is individually measured.
-        assert not attributed[wide[0]]
+        # One stacked call per shape group, in first-occurrence order.
+        assert calls == [3, 1]
         # The 3-member group shares one measured elapsed time.
-        assert attributed[narrow].all()
         assert np.all(seconds[narrow] == seconds[narrow[0]])
         # Scores stay bitwise identical to the sequential path.
         expected = np.array([scorer.score(*h.matrices())
@@ -168,12 +177,14 @@ class TestAttributedTimings:
 
     def test_l1_batches_like_every_other_scorer(self, rng):
         """L1 implements score_batch (shared Y-side work), so its
-        same-shape groups get attributed shares like L2's — and scores
-        stay bitwise identical to the sequential path."""
+        same-shape groups get equal shares like L2's — and scores stay
+        bitwise identical to the sequential path."""
+        from repro.scoring import BatchScorer
         hypotheses = generate_hypotheses(_families(rng), "target")
         scorer = get_scorer("L1")
-        scores, _, attributed = execute_batches(hypotheses, scorer)
-        assert attributed.all()
+        assert isinstance(scorer, BatchScorer)
+        scores, seconds = execute_batches(hypotheses, scorer)
+        assert np.all(seconds == seconds[0])
         expected = np.array([scorer.score(*h.matrices())
                              for h in hypotheses])
         assert np.array_equal(scores, expected)
@@ -189,24 +200,25 @@ class TestAttributedTimings:
 
         hypotheses = generate_hypotheses(_families(rng), "target")
         scorer = Plain()
-        scores, _, attributed = execute_batches(hypotheses, scorer)
+        scores, seconds = execute_batches(hypotheses, scorer)
         expected = np.array([scorer.score(*h.matrices())
                              for h in hypotheses])
         assert np.array_equal(scores, expected)
-        assert attributed.all()    # adapted loop is timed per shape group
+        assert np.all(seconds == seconds[0])   # adapted loop, one group
 
     def test_single_hypothesis_batch_is_measured(self, rng):
         hypotheses = generate_hypotheses(_families(rng, n=1), "target")
-        _, _, attributed = execute_batches(hypotheses, get_scorer("L2"))
-        assert not attributed.any()
+        scores, seconds = execute_batches(hypotheses, get_scorer("L2"))
+        assert scores.shape == seconds.shape == (1,)
+        assert seconds[0] > 0.0
 
     def test_report_exposes_attribution(self, rng):
-        hypotheses = generate_hypotheses(_families(rng), "target")
-        batch = HypothesisExecutor(backend="batch").run(hypotheses,
-                                                        scorer="L2")
-        assert batch.has_attributed_timings()
-        assert all(t.attributed for t in batch.timings)
-        sequential = HypothesisExecutor(n_workers=1).run(hypotheses,
-                                                         scorer="L2")
-        assert not sequential.has_attributed_timings()
-        assert all(not t.attributed for t in sequential.timings)
+        """The Score Table carries the shares; their sum fits the wall."""
+        hypotheses = generate_hypotheses(
+            _mixed_shape_families(rng), "target")
+        table = rank_families(hypotheses, scorer="L2")
+        seconds = {row.family: row.seconds for row in table.results}
+        narrow = [h.name for h in hypotheses if h.x.n_features == 2]
+        assert len({seconds[name] for name in narrow}) == 1
+        assert all(value > 0.0 for value in seconds.values())
+        assert sum(seconds.values()) <= table.total_seconds

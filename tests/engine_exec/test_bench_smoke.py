@@ -1,34 +1,23 @@
 """Smoke test: the Figure 10 backend benchmark emits well-formed rows.
 
-Loads ``benchmarks/bench_figure10_score_time.py`` by path (the benchmark
-tree is not an importable package) and runs its backend comparison on a
-tiny workload, checking that both the legacy thread backend and the
-batched backend produce complete, sane timing rows.
+Runs the benchmark's backend comparison (``benchmarks/
+bench_figure10_score_time.py``, loaded by path: the benchmark tree is
+not an importable package) on a tiny workload, checking that the
+per-hypothesis thread-pool and pickle schedules and the engine's batch
+planner produce complete, sane timing rows and identical rankings.
 """
 
-import importlib.util
 import math
-import pathlib
 
-BENCH_PATH = (pathlib.Path(__file__).resolve().parents[2]
-              / "benchmarks" / "bench_figure10_score_time.py")
+import pytest
 
 
-def _load_bench_module():
-    spec = importlib.util.spec_from_file_location(
-        "bench_figure10_score_time_smoke", BENCH_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_backend_rows_well_formed():
-    bench = _load_bench_module()
+def test_backend_rows_well_formed(bench):
     hypotheses = bench.synthetic_hypotheses(n_families=8, n_samples=60)
     rows = bench.backend_timing_rows(hypotheses, scorer="L2",
-                                     backends=("thread", "batch"),
+                                     backends=("thread", "pickle", "batch"),
                                      n_workers=2)
-    assert [row["backend"] for row in rows] == ["thread", "batch"]
+    assert [row["backend"] for row in rows] == ["thread", "pickle", "batch"]
     for row in rows:
         assert set(row) == set(bench.BACKEND_ROW_FIELDS)
         assert row["scorer"] == "L2"
@@ -42,36 +31,29 @@ def test_backend_rows_well_formed():
         assert (row["max_seconds_per_family"]
                 >= row["mean_seconds_per_family"])
     by_backend = {row["backend"]: row for row in rows}
-    # Thread timings are individually measured; batch ones are equal
-    # shares of the stacked call and flagged as such.
+    # Per-hypothesis timings are individually measured; batch ones are
+    # equal shares of the stacked call and flagged as such.
     assert by_backend["thread"]["share_attributed"] is False
+    assert by_backend["pickle"]["share_attributed"] is False
     assert by_backend["batch"]["share_attributed"] is True
     rendered = bench.format_backend_rows(rows)
     assert "thread" in rendered and "batch" in rendered
-    assert "attributed" in rendered
+    assert "attributed" in rendered and "measured" in rendered
 
 
-def test_transfer_rows_well_formed():
-    bench = _load_bench_module()
+def test_reproduction_rankings_equal_rank_families(bench):
     hypotheses = bench.synthetic_hypotheses(n_families=8, n_samples=60)
-    rows = bench.serialization_overhead_rows(hypotheses, scorer="CorrMax",
-                                             n_workers=2)
-    assert [row["transfer"] for row in rows] == ["pickle", "shm"]
-    for row in rows:
-        assert set(row) == set(bench.TRANSFER_ROW_FIELDS)
-        assert row["scorer"] == "CorrMax"
-        assert row["n_hypotheses"] == 8
-        assert row["bytes_moved"] > 0
-        assert 0.0 <= row["serialization_share"] <= 1.0
-    by_transfer = {row["transfer"]: row for row in rows}
-    assert (by_transfer["shm"]["bytes_moved"]
-            < by_transfer["pickle"]["bytes_moved"])
-    rendered = bench.format_transfer_rows(rows)
-    assert "pickle" in rendered and "shm" in rendered
+    for scorer in ("CorrMax", "L2", "L2-P50"):
+        assert bench.rankings_match_engine(hypotheses, scorer=scorer)
 
 
-def test_synthetic_workload_shape():
-    bench = _load_bench_module()
+def test_unknown_backend_rejected(bench):
+    hypotheses = bench.synthetic_hypotheses(n_families=2, n_samples=30)
+    with pytest.raises(ValueError):
+        bench.backend_timing_rows(hypotheses, backends=("process",))
+
+
+def test_synthetic_workload_shape(bench):
     hypotheses = bench.synthetic_hypotheses(n_families=5, n_samples=40,
                                             n_features=2)
     assert len(hypotheses) == 5

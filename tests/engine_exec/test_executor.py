@@ -1,11 +1,23 @@
-"""Unit tests for the parallel hypothesis executor."""
+"""Unit tests for the per-hypothesis executor of the §4 / §6.2 benchmarks.
+
+The paper schedules one hypothesis per worker; the engine ranks through
+the batch planner instead, and the per-hypothesis schedule lives on in
+``benchmarks/per_hypothesis.py`` to reproduce Figure 10 and §6.2.
+Those benchmarks' assertions are only as good as this executor, so it
+is tested here like any other component.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.families import FamilySet, FeatureFamily
 from repro.core.hypothesis import generate_hypotheses
-from repro.engine_exec import HypothesisExecutor
+
+
+
+@pytest.fixture
+def score_per_hypothesis(per_hypothesis):
+    return per_hypothesis.score_per_hypothesis
 
 
 @pytest.fixture
@@ -26,55 +38,58 @@ def hypotheses(rng):
 
 
 class TestHypothesisExecutor:
-    def test_parallel_matches_serial_ranking(self, hypotheses):
-        serial = HypothesisExecutor(n_workers=1).run(
-            hypotheses, scorer="L2")
-        parallel = HypothesisExecutor(n_workers=4).run(
-            hypotheses, scorer="L2")
+    def test_parallel_matches_serial_ranking(self, hypotheses, score_per_hypothesis):
+        serial = score_per_hypothesis(hypotheses, scorer="L2")
+        parallel = score_per_hypothesis(hypotheses, scorer="L2",
+                                        n_workers=4)
         serial_rank = [r.family for r in serial.score_table.results]
         parallel_rank = [r.family for r in parallel.score_table.results]
         assert serial_rank == parallel_rank
         assert serial_rank[0] == "fam_0"
 
-    def test_timings_per_hypothesis(self, hypotheses):
-        report = HypothesisExecutor(n_workers=2).run(hypotheses,
-                                                     scorer="L2")
-        assert len(report.timings) == len(hypotheses)
+    def test_timings_per_hypothesis(self, hypotheses, score_per_hypothesis):
+        report = score_per_hypothesis(hypotheses, scorer="L2", n_workers=2)
+        assert len(report.seconds) == len(hypotheses)
         assert report.mean_seconds_per_family() > 0.0
         assert report.max_seconds_per_family() >= \
             report.mean_seconds_per_family()
+        by_family = {r.family: r.seconds
+                     for r in report.score_table.results}
+        assert [by_family[h.name] for h in hypotheses] == report.seconds
 
-    def test_wall_time_recorded(self, hypotheses):
-        report = HypothesisExecutor(n_workers=2).run(hypotheses,
-                                                     scorer="CorrMax")
+    def test_wall_time_recorded(self, hypotheses, score_per_hypothesis):
+        report = score_per_hypothesis(hypotheses, scorer="CorrMax",
+                                      n_workers=2)
         assert report.wall_seconds > 0.0
         assert report.score_table.total_seconds == report.wall_seconds
 
-    def test_invalid_worker_count(self):
+    def test_invalid_worker_count(self, hypotheses, score_per_hypothesis):
         with pytest.raises(ValueError):
-            HypothesisExecutor(n_workers=0)
+            score_per_hypothesis(hypotheses, n_workers=0)
 
-    def test_serialization_accounting(self, hypotheses):
-        executor = HypothesisExecutor(n_workers=1,
-                                      measure_serialization=True)
-        report = executor.run(hypotheses, scorer="CorrMax")
-        accounting = report.accounting
-        assert accounting is not None
-        assert accounting.calls == len(hypotheses)
-        assert accounting.bytes_moved > 0
-        assert 0.0 <= accounting.serialization_share <= 1.0
+    def test_serialization_accounting(self, hypotheses, score_per_hypothesis):
+        report = score_per_hypothesis(hypotheses, scorer="CorrMax",
+                                      pickle_matrices=True)
+        assert report.bytes_moved > sum(
+            h.x.matrix.nbytes + h.y.matrix.nbytes for h in hypotheses)
+        assert report.serialize_seconds > 0.0
+        assert 0.0 <= report.serialization_share <= 1.0
+        plain = score_per_hypothesis(hypotheses, scorer="CorrMax")
+        assert plain.bytes_moved == 0
+        assert plain.serialization_share == 0.0
+        assert ([r.score for r in report.score_table.results]
+                == [r.score for r in plain.score_table.results])
 
-    def test_univariate_serialization_share_exceeds_joint(self, hypotheses):
+    def test_univariate_serialization_share_exceeds_joint(self, hypotheses, score_per_hypothesis):
         """§6.2: serialisation is a larger share for cheap scorers."""
-        cheap = HypothesisExecutor(
-            n_workers=1, measure_serialization=True).run(
-            hypotheses, scorer="CorrMax").accounting
-        joint = HypothesisExecutor(
-            n_workers=1, measure_serialization=True).run(
-            hypotheses, scorer="L2").accounting
+        cheap = score_per_hypothesis(hypotheses, scorer="CorrMax",
+                                     pickle_matrices=True)
+        joint = score_per_hypothesis(hypotheses, scorer="L2",
+                                     pickle_matrices=True)
         assert cheap.serialization_share > joint.serialization_share
 
-    def test_empty_hypothesis_list(self):
-        report = HypothesisExecutor().run([], scorer="CorrMax")
-        assert report.timings == []
+    def test_empty_hypothesis_list(self, score_per_hypothesis):
+        report = score_per_hypothesis([], scorer="CorrMax")
+        assert report.seconds == []
         assert report.mean_seconds_per_family() == 0.0
+        assert report.max_seconds_per_family() == 0.0

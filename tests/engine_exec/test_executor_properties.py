@@ -1,8 +1,11 @@
-"""Property-based tests for HypothesisExecutor edge cases.
+"""Property-based tests for ranking edge cases on every scoring path.
 
-Edge cases the satellite checklist calls out: empty hypothesis list,
-single hypothesis, more workers than hypotheses, and determinism of the
-ranking across worker counts and backends.
+Edge cases: empty hypothesis list, single hypothesis, more workers than
+hypotheses, and determinism of the ranking across worker counts.  The
+reference is the definitional loop — one ``scorer.score`` call per
+hypothesis fed through ``score_fn`` — and the paths under test are the
+engine's batch planner (``rank_families``) and the per-hypothesis
+thread-pool / pickle schedules kept for the Figure 10 / §6.2 benchmarks.
 """
 
 import numpy as np
@@ -12,7 +15,8 @@ from hypothesis import strategies as st
 
 from repro.core.families import FamilySet, FeatureFamily
 from repro.core.hypothesis import generate_hypotheses
-from repro.engine_exec import BACKENDS, HypothesisExecutor
+from repro.core.ranking import rank_families
+from repro.scoring import get_scorer
 
 
 def _build_hypotheses(n_families: int, n_samples: int = 48):
@@ -30,54 +34,71 @@ def _build_hypotheses(n_families: int, n_samples: int = 48):
 
 
 HYPOTHESES = _build_hypotheses(7)
-REFERENCE = HypothesisExecutor(n_workers=1).run(HYPOTHESES, scorer="CorrMax")
-REFERENCE_RANKING = [r.family for r in REFERENCE.score_table.results]
-REFERENCE_SCORES = dict(REFERENCE.score_table.all_scores)
+_CORRMAX = get_scorer("CorrMax")
+REFERENCE = rank_families(
+    HYPOTHESES, scorer=_CORRMAX,
+    score_fn=lambda h: _CORRMAX.score(*h.matrices()))
+REFERENCE_RANKING = [r.family for r in REFERENCE.results]
+REFERENCE_SCORES = dict(REFERENCE.all_scores)
+
+#: The scoring paths: the engine's batch planner, and the per-hypothesis
+#: schedule on a thread pool without / with the pickle round trip.
+PATHS = ("thread", "pickle", "batch")
+
+
+@pytest.fixture(scope="module")
+def run(per_hypothesis):
+    """``run(path, hypotheses, n_workers)``: a path's table and seconds."""
+    def run_path(path, hypotheses, n_workers, scorer="CorrMax"):
+        if path == "batch":
+            table = rank_families(hypotheses, scorer=scorer)
+            return table, [row.seconds for row in table.results]
+        report = per_hypothesis.score_per_hypothesis(
+            hypotheses, scorer=scorer, n_workers=n_workers,
+            pickle_matrices=path == "pickle")
+        return report.score_table, report.seconds
+    return run_path
 
 
 @given(n_workers=st.integers(min_value=1, max_value=9),
-       backend=st.sampled_from(["thread", "batch"]))
+       path=st.sampled_from(PATHS))
 @settings(max_examples=12, deadline=None)
-def test_ranking_deterministic_across_worker_counts(n_workers, backend):
-    report = HypothesisExecutor(n_workers=n_workers, backend=backend).run(
-        HYPOTHESES, scorer="CorrMax")
-    assert [r.family for r in report.score_table.results] == REFERENCE_RANKING
-    assert dict(report.score_table.all_scores) == REFERENCE_SCORES
+def test_ranking_deterministic_across_worker_counts(run, n_workers, path):
+    table, _ = run(path, HYPOTHESES, n_workers)
+    assert [r.family for r in table.results] == REFERENCE_RANKING
+    assert dict(table.all_scores) == REFERENCE_SCORES
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_empty_hypothesis_list(backend):
-    report = HypothesisExecutor(n_workers=2, backend=backend).run(
-        [], scorer="CorrMax")
-    assert report.timings == []
-    assert report.score_table.results == []
-    assert report.mean_seconds_per_family() == 0.0
-    assert report.max_seconds_per_family() == 0.0
+@pytest.mark.parametrize("path", PATHS)
+def test_empty_hypothesis_list(run, path):
+    table, seconds = run(path, [], n_workers=2)
+    assert seconds == []
+    assert table.results == []
+    assert table.n_hypotheses == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_single_hypothesis(backend):
+@pytest.mark.parametrize("path", PATHS)
+def test_single_hypothesis(run, path):
     single = HYPOTHESES[:1]
-    report = HypothesisExecutor(n_workers=4, backend=backend).run(
-        single, scorer="CorrMax")
-    assert len(report.timings) == 1
-    assert len(report.score_table.results) == 1
-    row = report.score_table.results[0]
+    table, seconds = run(path, single, n_workers=4)
+    assert len(seconds) == 1
+    assert len(table.results) == 1
+    row = table.results[0]
     assert row.family == single[0].name
     assert row.rank == 1
     assert row.score == REFERENCE_SCORES[single[0].name]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_more_workers_than_hypotheses(backend):
-    report = HypothesisExecutor(n_workers=32, backend=backend).run(
-        HYPOTHESES, scorer="CorrMax")
-    assert [r.family for r in report.score_table.results] == REFERENCE_RANKING
-    assert len(report.timings) == len(HYPOTHESES)
+@pytest.mark.parametrize("path", PATHS)
+def test_more_workers_than_hypotheses(run, path):
+    table, seconds = run(path, HYPOTHESES, n_workers=32)
+    assert [r.family for r in table.results] == REFERENCE_RANKING
+    assert len(seconds) == len(HYPOTHESES)
 
 
 def test_batch_timings_cover_every_hypothesis():
-    report = HypothesisExecutor(backend="batch").run(HYPOTHESES, scorer="L2")
-    assert len(report.timings) == len(HYPOTHESES)
-    assert all(t.seconds > 0.0 for t in report.timings)
-    assert {t.family for t in report.timings} == {h.name for h in HYPOTHESES}
+    table = rank_families(HYPOTHESES, scorer="L2")
+    assert len(table.results) == len(HYPOTHESES)
+    assert all(row.seconds > 0.0 for row in table.results)
+    assert {row.family for row in table.results} == \
+        {h.name for h in HYPOTHESES}

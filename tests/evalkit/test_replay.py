@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.ranking import rank_families
 from repro.evalkit.metrics import precision_at_k, recall_at_k
 from repro.evalkit.replay import (
     DEFAULT_KS,
@@ -133,17 +134,6 @@ class TestScorecardSerialisation:
         assert "build_seconds" in with_t["runs"][0]
         assert "build_seconds" not in without_t["runs"][0]
 
-    def test_meta_toggle(self, smoke_card):
-        with_meta = smoke_card.to_payload(with_meta=True)
-        without_meta = smoke_card.to_payload(with_meta=False)
-        assert "backend" in with_meta
-        assert "backend" not in without_meta
-        assert "transfer" not in without_meta
-
-    def test_transfer_only_reported_for_process_backend(self, smoke_card):
-        # Inline run: the transfer label is irrelevant, so it is nulled.
-        assert smoke_card.to_payload()["transfer"] is None
-
     def test_json_round_trips(self, smoke_card):
         doc = json.loads(smoke_card.to_json())
         assert doc["matrix"] == "smoke"
@@ -161,22 +151,26 @@ class TestFormatScorecard:
         assert "Stages: build" in text
 
 
-class TestBackendParity:
-    """Satellite: the scorecard is identical across execution backends.
+class TestOracleParity:
+    """The scorecard equals one graded from the definitional loop.
 
-    All backends funnel through ``rank_families``'s deterministic sort,
-    and the scorers are bitwise reproducible — so the graded scorecard
-    must not depend on how the ranking work was scheduled.
+    ``rank_families`` scores through the batch planner; replacing it
+    with one ``scorer.score`` call per hypothesis must not change a
+    single byte of the deterministic scorecard.
     """
 
-    @pytest.mark.parametrize("backend,transfer", [
-        ("thread", "shm"),
-        ("process", "shm"),
-        ("batch", "shm"),
-    ])
-    def test_backend_matches_inline(self, smoke_card, backend, transfer):
-        card = replay_matrix(SMOKE, scorers=DEFAULT_SCORERS,
-                             backend=backend, n_workers=2,
-                             transfer=transfer, matrix="smoke")
-        assert (card.to_json(with_timings=False, with_meta=False)
-                == smoke_card.to_json(with_timings=False, with_meta=False))
+    def test_scorecard_matches_definitional_loop(self, smoke_card,
+                                                 monkeypatch):
+        from repro.evalkit import replay as replay_module
+        from repro.scoring import get_scorer
+
+        def definitional(hypotheses, scorer):
+            scorer = get_scorer(scorer)
+            return rank_families(
+                hypotheses, scorer=scorer,
+                score_fn=lambda h: scorer.score(*h.matrices()))
+
+        monkeypatch.setattr(replay_module, "rank_families", definitional)
+        card = replay_matrix(SMOKE, scorers=DEFAULT_SCORERS, matrix="smoke")
+        assert (card.to_json(with_timings=False)
+                == smoke_card.to_json(with_timings=False))

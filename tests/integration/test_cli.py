@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main, resolve_exec_args
+from repro.cli import build_parser, main
 
 
 class TestParser:
@@ -21,25 +21,25 @@ class TestParser:
             build_parser().parse_args(["explain", "9.9"])
 
     def test_invalid_backend_rejected_at_parse_time(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["explain", "5.1",
-                                       "--backend", "spark"])
+        # Ranking has one engine path; there is no backend to pick.
+        for command in (["explain", "5.1"], ["replay"], ["serve", "5.1"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command + ["--backend", "batch"])
 
     def test_invalid_transfer_rejected_at_parse_time(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["explain", "5.1",
-                                       "--backend", "process",
-                                       "--transfer", "grpc"])
+        for command in (["explain", "5.1"], ["replay"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command + ["--transfer", "pickle"])
 
     def test_nonpositive_workers_rejected_at_parse_time(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["explain", "5.1", "--workers", "0"])
+            build_parser().parse_args(["serve", "5.1", "--workers", "0"])
+        args = build_parser().parse_args(["serve", "5.1", "--workers", "2"])
+        assert args.workers == 2
 
-    def test_transfer_and_lags_parse(self):
+    def test_lags_parse(self):
         args = build_parser().parse_args(
-            ["explain", "5.1", "--backend", "process", "--transfer",
-             "pickle", "--lags", "0", "1", "2"])
-        assert args.transfer == "pickle"
+            ["explain", "5.1", "--lags", "0", "1", "2"])
         assert args.lags == [0, 1, 2]
 
     def test_replay_defaults(self):
@@ -56,45 +56,6 @@ class TestParser:
     def test_replay_rejects_nonpositive_k(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["replay", "--ks", "0"])
-
-
-class TestResolveExecArgs:
-    def test_defaults(self):
-        n_workers, transfer, warnings = resolve_exec_args(None, None, None)
-        assert n_workers == 4
-        assert transfer == "shm"
-        assert warnings == []
-
-    def test_workers_warn_under_batch(self):
-        _, _, warnings = resolve_exec_args("batch", 8, None)
-        assert len(warnings) == 1
-        assert "--workers" in warnings[0] and "batch" in warnings[0]
-
-    def test_workers_warn_without_backend(self):
-        _, _, warnings = resolve_exec_args(None, 8, None)
-        assert len(warnings) == 1
-        assert "--workers" in warnings[0]
-
-    def test_workers_used_by_pools(self):
-        for backend in ("thread", "process"):
-            n_workers, _, warnings = resolve_exec_args(backend, 8, None)
-            assert n_workers == 8
-            assert warnings == []
-
-    def test_transfer_warn_for_non_process_backends(self):
-        for backend in (None, "thread", "batch"):
-            _, transfer, warnings = resolve_exec_args(backend, None, "shm")
-            assert transfer == "shm"
-            assert any("--transfer" in w for w in warnings)
-
-    def test_transfer_used_by_process(self):
-        _, transfer, warnings = resolve_exec_args("process", None, "pickle")
-        assert transfer == "pickle"
-        assert warnings == []
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(ValueError):
-            resolve_exec_args("thread", 0, None)
 
 
 class TestCommands:
@@ -118,21 +79,6 @@ class TestCommands:
     def test_explain_with_condition_none(self, capsys):
         assert main(["explain", "fig14", "--scorer", "CorrMax",
                      "--condition", "none"]) == 0
-
-    def test_explain_process_shm_backend(self, capsys):
-        assert main(["explain", "fig14", "--scorer", "CorrMax",
-                     "--backend", "process", "--transfer", "shm",
-                     "--workers", "2", "--top", "5"]) == 0
-        captured = capsys.readouterr()
-        assert "rank" in captured.out
-        assert "warning" not in captured.err
-
-    def test_explain_warns_on_ignored_workers(self, capsys):
-        assert main(["explain", "fig14", "--scorer", "CorrMax",
-                     "--backend", "batch", "--workers", "8",
-                     "--top", "5"]) == 0
-        captured = capsys.readouterr()
-        assert "warning" in captured.err and "--workers" in captured.err
 
     def test_explain_with_lags(self, capsys):
         assert main(["explain", "fig14", "--scorer", "L2",

@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.engine import ExplainItSession
 from repro.core.pipeline import DeclarativePipeline
-from repro.engine_exec import HypothesisExecutor
 from repro.sql import Database
 from repro.tsdb.adapter import register_store
 from repro.workloads.scenarios import fault_injection_scenario
@@ -73,10 +72,16 @@ class TestParallelEquivalence:
         serial_table = session.explain(scorer="CorrMax")
         from repro.core.hypothesis import generate_hypotheses
         hyps = generate_hypotheses(session.families(), "pipeline_runtime")
-        report = HypothesisExecutor(n_workers=4).run(hyps,
-                                                     scorer="CorrMax")
-        assert [r.family for r in report.score_table.results] == \
+        # The definitional per-hypothesis loop agrees with the session's
+        # batch-planned ranking.
+        from repro.core.ranking import rank_families
+        from repro.scoring import get_scorer
+        scorer = get_scorer("CorrMax")
+        loop = rank_families(hyps, scorer=scorer,
+                             score_fn=lambda h: scorer.score(*h.matrices()))
+        assert [r.family for r in loop.results] == \
             [r.family for r in serial_table.results]
+        assert loop.all_scores == serial_table.all_scores
 
 
 class TestCaseStudyWorkflowLoop:

@@ -284,28 +284,6 @@ def test_explain_cache_invalidated_by_ingest(server, store):
     assert second.version > first.version
 
 
-def test_process_backend_publishes_matrices_once_per_version(store):
-    with QueryServer(store, backend="process", rank_workers=2) as server:
-        a = server.explain("target_metric", scorer="L2-P50")
-        segments_after_first = server.stats()["shm_segments"]
-        assert segments_after_first > 0
-        # A different scorer misses the result cache but reuses the
-        # already-published matrices: no new segments appear.
-        b = server.explain("target_metric", scorer="L2")
-        assert server.stats()["shm_segments"] == segments_after_first
-        assert [r.family for r in a.results]  # both produced rankings
-        assert [r.family for r in b.results]
-        # Bitwise parity against the same backend run standalone (the
-        # executor's own parity tests pin process == batch == thread).
-        direct = rank_families(
-            generate_hypotheses(
-                families_from_store(store.snapshot(), group_by="name"),
-                "target_metric"),
-            scorer="L2-P50", backend="process", n_workers=2,
-            transfer="shm")
-        assert rank_fields(a) == rank_fields(direct)
-
-
 def test_old_version_states_retire(store):
     with QueryServer(store, keep_versions=1) as server:
         server.sql(GROUP_QUERY)

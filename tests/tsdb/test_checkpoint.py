@@ -139,3 +139,45 @@ def test_wal_truncate_resets_and_accepts_new_records(tmp_path):
     assert len(records) == 1
     assert records[0][0] == SeriesId.make("b")
     log.close()
+
+
+def test_checkpoint_fsyncs_directory_before_truncating_wal(tmp_path,
+                                                           monkeypatch):
+    """The rename must be durable before the log it replaces is dropped.
+
+    Records every ``os.fsync`` during a checkpoint and classifies the
+    descriptor: the snapshot directory's fsync (which makes the rename
+    of the temp file durable) has to come before the fsync that
+    ``WriteAheadLog.truncate`` issues on the log.
+    """
+    import os
+    import stat
+
+    wal_path = tmp_path / "store.wal"
+    snap_path = tmp_path / "store.chunk"
+    store = fill(ShardedTimeSeriesStore.open(wal_path, n_shards=2))
+    store.flush()
+    real_fsync = os.fsync
+    calls = []
+
+    def recording_fsync(fd):
+        info = os.fstat(fd)
+        if stat.S_ISDIR(info.st_mode):
+            kind = ("snapshot_dir" if os.path.samestat(
+                info, os.stat(snap_path.parent)) else "other_dir")
+        elif os.path.samestat(info, os.stat(wal_path)):
+            kind = "wal"
+        else:
+            kind = "file"
+        calls.append(kind)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    store.checkpoint(snap_path)
+    monkeypatch.setattr(os, "fsync", real_fsync)
+    store.close()
+    assert "snapshot_dir" in calls
+    truncate_fsync = max(i for i, kind in enumerate(calls) if kind == "wal")
+    assert calls.index("snapshot_dir") < truncate_fsync
+    # The temp file itself is fsynced before the rename.
+    assert calls.index("file") < calls.index("snapshot_dir")

@@ -4,10 +4,10 @@ Gappy (irregular) series produce unequal bucket sizes, which used to
 fall back to one Python-level aggregator call per bucket for every
 aggregate.  MIN/MAX reduce all buckets with one ``reduceat`` call and
 stay bitwise identical to the reference loop (COUNT was already derived
-from bucket sizes).  SUM/AVG also reduce with one ``np.add.reduceat``,
-but that accumulates each bucket left-to-right while the reference
-loop's ``np.sum`` is pairwise, so those two are pinned to a documented
-1e-9 relative tolerance instead.  The order statistics (median/p95/p99)
+from bucket sizes).  SUM/AVG reduce the buckets of each size as one
+matrix, in the reference loop's pairwise ``np.sum`` order, so they are
+bitwise too; the older 1e-9 relative-tolerance checks are kept alongside
+the bitwise ones.  The order statistics (median/p95/p99)
 go through sorted-segment indexing — one ``lexsort`` + index gathers
 replicating numpy's quantile arithmetic — and must stay *bitwise*
 identical to the per-bucket ``np.median``/``np.percentile`` loop, NaN,
@@ -110,6 +110,31 @@ class TestRaggedSegmentedReduction:
         assert sums.tolist() == [6.5, 9.0, -8.25]
         _, avgs = _apply_both_close(10, "avg", ts, vals)
         assert avgs.tolist() == [6.5 / 3, 9.0, -4.125]
+
+    def test_cancelling_bucket_sum_is_exact(self):
+        """A bucket whose pairwise sum cancels to exactly 0 must not come
+        out as a left-to-right rounding residue (1.1e-16), which no
+        relative tolerance admits against 0."""
+        ts = np.asarray([0] * 8 + [1], dtype=np.int64)
+        vals = np.asarray([0.0] * 5 + [9.0, -1.0, -7.999999999999999, 0.0])
+        for agg in ("sum", "avg"):
+            _, out = _apply_both(1, agg, ts, vals)
+            assert _bitwise_equal(out, np.zeros(2))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sums_bitwise_with_duplicate_timestamps(self, data):
+        n = data.draw(st.integers(1, 80))
+        ts = np.sort(np.asarray(data.draw(st.lists(
+            st.integers(0, 200), min_size=n, max_size=n)), dtype=np.int64))
+        vals = np.asarray(data.draw(st.lists(
+            st.floats(-1e9, 1e9, allow_nan=False), min_size=n, max_size=n)))
+        interval = data.draw(st.integers(1, 25))
+        for agg in ("sum", "avg"):
+            fast_ts, fast_vals = Downsampler(interval, agg).apply(ts, vals)
+            ref_ts, ref_vals = naive_downsample(interval, agg, ts, vals)
+            assert np.array_equal(fast_ts, ref_ts)
+            assert _bitwise_equal(fast_vals, ref_vals), (agg, interval)
 
     def test_equal_width_sum_avg_stays_bitwise(self, rng):
         """Dense regular grids must keep the reshape path's bitwise
